@@ -126,7 +126,9 @@ let chaos_arg =
            N faults), delay=FLOAT (base Delay duration). Faults are a pure \
            function of the seed, so any chaos run replays exactly; the final \
            report stays byte-identical to a fault-free run — that invariant is \
-           what the chaos suite checks.")
+           what the chaos suite checks. $(b,serve) does not heal shard faults in \
+           process: it fails fast (exit 1), and a successor started with \
+           $(b,--resume) and fed a blind resend restores the invariant.")
 
 (* Arm --chaos around an action; the summary goes to stderr so stdout stays
    byte-identical to a fault-free run (the chaos oracle diffs it). *)
@@ -478,14 +480,8 @@ let serve_cmd =
            ~doc:"On shutdown, write the final telemetry and merged work counters \
                  (the $(b,STATS JSON) payload) to FILE.")
   in
-  let max_restarts =
-    Arg.(value & opt int Serve.default_max_restarts & info [ "max-restarts" ] ~docv:"N"
-           ~doc:"Per-shard supervisor restart budget; past it the daemon fails \
-                 fast with a non-zero exit, leaving the last good checkpoint set \
-                 on disk.")
-  in
   let run socket tcp backlog ready_file engine shards rate seed clock_size checkpoint
-      resume heartbeat metrics_json max_restarts chaos =
+      resume heartbeat metrics_json chaos =
     match Engine.of_name engine with
     | None ->
       prerr_endline ("racedet: unknown engine " ^ engine);
@@ -525,7 +521,6 @@ let serve_cmd =
                  ready_file;
                  heartbeat_s = (if heartbeat > 0.0 then Some heartbeat else None);
                  metrics_json;
-                 max_restarts;
                  chaos;
                };
              0
@@ -542,7 +537,7 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ tcp_arg $ backlog_arg $ ready_file_arg $ engine
       $ shards_arg $ rate_arg $ seed_arg $ clock_size_arg $ checkpoint $ resume
-      $ heartbeat $ metrics_json $ max_restarts $ chaos_arg)
+      $ heartbeat $ metrics_json $ chaos_arg)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -791,8 +786,9 @@ let route_cmd =
   in
   let max_respawns =
     Arg.(value & opt int Router.default_max_respawns & info [ "max-respawns" ] ~docv:"N"
-           ~doc:"Per-worker respawn budget; past it the router fails fast with a \
-                 non-zero exit.")
+           ~doc:"Per-worker respawn budget: respawns since the worker's durable \
+                 stream position last advanced.  Past it the router fails fast \
+                 with a non-zero exit.")
   in
   let window =
     Arg.(value & opt int Router.default_window & info [ "window" ] ~docv:"N"

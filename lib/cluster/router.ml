@@ -74,7 +74,7 @@ type config = {
   ready_file : string option;
   heartbeat_s : float option;
   metrics_json : string option;
-  max_respawns : int;  (* per-worker respawn budget before failing fast *)
+  max_respawns : int;  (* per-worker respawns without progress before failing fast *)
   chaos : Fault.config option;
   window : int;  (* per-worker in-flight CBATCH window *)
   wal : bool;  (* append+fsync every batch before acking it *)
@@ -86,6 +86,7 @@ let default_max_respawns = 8
 let default_window = 8
 let default_state_every = 16
 let cbatch_chunk = 8192  (* messages per CBATCH *)
+let healing_chunk = 256  (* messages per CBATCH to a worker that has crashed *)
 let spawn_deadline_s = 30.0
 
 (* --- worker processes ----------------------------------------------------- *)
@@ -103,6 +104,13 @@ type worker = {
   mutable llen : int;
   mutable lbase : int;  (* messages before the retained window (state-checkpoint cut) *)
   mutable respawns : int;
+  mutable durable : int;  (* highest SEQ a respawned generation reported *)
+  mutable stalls : int;  (* respawns since [durable] last advanced *)
+  mutable healing : bool;
+      (* set by the first crash: from then on the worker's generations
+         checkpoint every CBATCH and take their replay in [healing_chunk]
+         pieces, so each leaves durable progress behind before the next
+         fault ends it *)
 }
 
 let total w = w.lbase + w.llen
@@ -121,6 +129,9 @@ let make_worker id =
     llen = 0;
     lbase = 0;
     respawns = 0;
+    durable = 0;
+    stalls = 0;
+    healing = false;
   }
 
 let log_push w m =
@@ -305,21 +316,28 @@ let spawn_worker st w ~resume =
          the in-flight window instead of paying one per CBATCH in every
          worker at once (capped so a huge window cannot push the replay
          bound arbitrarily far). *)
-      checkpoint_every = Stdlib.min 32 (Stdlib.max 1 st.cfg.window);
+      checkpoint_every =
+        (if w.healing then 1 else Stdlib.min 32 (Stdlib.max 1 st.cfg.window));
       resume_dir = (if resume then ckpt else None);
       max_parked = Serve.default_max_parked;
       backlog = Serve.default_backlog;
       ready_file = Some addr_file;
       heartbeat_s = None;
       metrics_json = None;
-      max_restarts = Serve.default_max_restarts;
-      chaos = None;  (* an armed schedule is inherited through the fork *)
+      chaos = None;  (* armed in the child below *)
     }
   in
   match Unix.fork () with
   | 0 ->
     (* the child must not hold the router's listener or its peers' sockets *)
     List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) st.parent_fds;
+    (* The fork inherits the router's schedule with the worker's hit counts
+       at 0, so a respawn would fire the very fault that ended its
+       predecessor, at the same hit, until the respawn budget is spent.
+       Each (worker, generation) draws its own schedule instead. *)
+    (match st.cfg.chaos with
+    | Some c -> Fault.arm { c with Fault.seed = Hashtbl.hash (c.Fault.seed, w.id, w.gen) }
+    | None -> ());
     (try
        Serve.run scfg;
        exit 0
@@ -587,7 +605,8 @@ let wait_for_ack w =
 
 let push_chunk st w =
   let nthreads, nlocks, nlocs = universe_of st in
-  let len = Stdlib.min cbatch_chunk (total w - w.pushed) in
+  let chunk = if w.healing then healing_chunk else cbatch_chunk in
+  let len = Stdlib.min chunk (total w - w.pushed) in
   let payload = Cmsg.encode ~nthreads ~nlocks ~nlocs w.log ~off:(w.pushed - w.lbase) ~len in
   Fault.point ~lane:w.id ~supports:[ Fault.Exn; Fault.Delay ] "router.send";
   Serve.send_cbatch_nowait w.fd ~seq:w.pushed payload;
@@ -625,22 +644,33 @@ let rec pump ?(drain = false) st w =
    against its checkpoint directory, ask where its durable stream stands
    and replay the rest of the log.  Checkpoint-before-ack on the worker
    side makes SEQ a durable lower bound; a SEQ behind even the retained
-   log suffix re-materializes full logs out of the WAL. *)
+   log suffix re-materializes full logs out of the WAL.  The respawn
+   budget counts respawns since the worker's durable SEQ last advanced: a
+   worker that keeps failing at one point fails the router fast, one that
+   heals past each fault (every fault ends the process, as serve does not
+   supervise its shards) runs on. *)
 and recover_worker ?(drain = false) st w =
   close_worker_fd st w;
   reap_worker w;
   w.respawns <- w.respawns + 1;
+  w.stalls <- w.stalls + 1;
   Registry.incr st.tel.respawns_total;
-  if w.respawns > st.cfg.max_respawns then
+  if w.stalls > st.cfg.max_respawns then
     fail st
-      (Printf.sprintf "worker %d exceeded its respawn budget (%d)" w.id st.cfg.max_respawns);
+      (Printf.sprintf "worker %d exceeded its respawn budget (%d respawns without progress)"
+         w.id st.cfg.max_respawns);
   w.gen <- w.gen + 1;
   Queue.clear w.inflight;
   Printf.eprintf "racedet route: recovering worker %d (respawn %d, gen %d)\n%!" w.id
     w.respawns w.gen;
+  w.healing <- true;
   spawn_worker st w ~resume:true;
   (match Serve.fetch_seq w.fd with
   | Ok seq ->
+    if seq > w.durable then begin
+      w.durable <- seq;
+      w.stalls <- 0
+    end;
     if seq < w.lbase then expand_logs st;
     let pos = Stdlib.min seq (total w) in
     Registry.add st.tel.replayed_total (total w - pos);

@@ -79,10 +79,16 @@ type config = {
   metrics_json : string option;  (** dump router telemetry JSON on shutdown *)
   max_respawns : int;
       (** per-worker respawn budget before the router fails fast
-          ({!default_max_respawns}) *)
+          ({!default_max_respawns}): it counts respawns since the worker's
+          durable [SEQ] last advanced, so a worker that heals past each
+          fault runs on and one stuck at a point fails fast.  Once a worker
+          has crashed, its generations checkpoint every CBATCH and take
+          their replay in small CBATCHes. *)
   chaos : Ft_fault.Fault.config option;
-      (** armed at startup; worker processes inherit the armed schedule
-          through the fork *)
+      (** armed at startup; each worker process re-arms the same schedule
+          with a seed mixed from (seed, worker id, generation), so a
+          respawned worker does not re-fire the fault that ended its
+          predecessor *)
   window : int;
       (** per-worker in-flight CBATCH window ({!default_window}); 1
           restores the lockstep send-then-wait of PR 9 *)

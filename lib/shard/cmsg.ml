@@ -44,6 +44,11 @@ let op_of ~tag ~operand =
   | 7 -> Event.Acquire_load operand
   | _ -> raise (Snap.Corrupt "cluster message: unknown event op tag")
 
+let operand_bound ~nthreads ~nlocks ~nlocs = function
+  | Event.Read _ | Event.Write _ -> nlocs
+  | Event.Acquire _ | Event.Release _ | Event.Release_store _ | Event.Acquire_load _ -> nlocks
+  | Event.Fork _ | Event.Join _ -> nthreads
+
 let encode ~nthreads ~nlocks ~nlocs msgs ~off ~len =
   let enc = Snap.Enc.create () in
   Snap.Enc.int enc nthreads;
@@ -84,10 +89,17 @@ let decode payload =
             let operand = Snap.Dec.int dec in
             Snap.expect (i >= 0 && thread >= 0 && operand >= 0)
               "cluster batch: negative field";
-            Ev (i, { Event.thread; op = op_of ~tag ~operand })
+            (* range checks against the batch universe, as the trace
+               decoders make them: a worker feeds its detector unchecked *)
+            Snap.expect (thread < nthreads) "cluster batch: thread id out of range";
+            let op = op_of ~tag ~operand in
+            Snap.expect (operand < operand_bound ~nthreads ~nlocks ~nlocs op)
+              "cluster batch: operand out of range";
+            Ev (i, { Event.thread; op })
           | 1 ->
             let th = Snap.Dec.int dec in
             Snap.expect (th >= 0) "cluster batch: negative thread";
+            Snap.expect (th < nthreads) "cluster batch: thread id out of range";
             Mark th
           | _ -> raise (Snap.Corrupt "cluster batch: unknown message tag"))
     in

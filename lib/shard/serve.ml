@@ -144,14 +144,12 @@ type config = {
   ready_file : string option;
   heartbeat_s : float option;
   metrics_json : string option;
-  max_restarts : int;  (* per-shard supervisor restart budget *)
   chaos : Fault.config option;  (* armed at startup when present *)
 }
 
 let default_max_parked = 1024
 let default_checkpoint_every = 1
 let default_deadline_s = 30.0
-let default_max_restarts = 8
 
 (* --- the report, shared with [racedet analyze] -------------------------- *)
 
@@ -248,7 +246,6 @@ type telemetry = {
   stats_total : Registry.counter;
   checkpoints_total : Registry.counter;
   faults_injected : Registry.counter;
-  shard_restarts : Registry.counter;
   checkpoint_failures : Registry.counter;
   ingest_ns : Histogram.t;
   started_ns : int64;
@@ -289,9 +286,6 @@ let make_telemetry () =
     faults_injected =
       Registry.counter reg "racedet_faults_injected"
         ~help:"Faults fired by the armed chaos schedule (0 when disarmed)";
-    shard_restarts =
-      Registry.counter reg "racedet_shard_restarts"
-        ~help:"Shard workers restarted by the supervisor";
     checkpoint_failures =
       Registry.counter reg "serve_checkpoint_failures_total"
         ~help:"Checkpoint sets abandoned because a write faulted";
@@ -347,9 +341,11 @@ type state = {
 let shard_file dir k = Filename.concat dir (Printf.sprintf "shard-%d.ftc" k)
 let router_file dir = Filename.concat dir "router.ftc"
 
+(* Never after a shard failure: the detector may hold a half-applied batch,
+   and the set on disk from the last good batch is what a successor resumes. *)
 let write_checkpoint st =
   match (st.cfg.checkpoint_dir, st.det, st.universe) with
-  | Some dir, Some det, Some (nthreads, nlocks, nlocs) -> (
+  | Some dir, Some det, Some (nthreads, nlocks, nlocs) when st.failed = None -> (
     let meta =
       {
         Checkpoint.engine = st.cfg.engine;
@@ -437,8 +433,7 @@ let try_resume (cfg : config) =
         }
       in
       match
-        Sharded.restore ~engine:cfg.engine ~shards:cfg.shards ~supervise:true
-          ~max_restarts:cfg.max_restarts config
+        Sharded.restore ~engine:cfg.engine ~shards:cfg.shards config
           ~router:router_cp.Checkpoint.detector
           (Array.of_list (List.map (fun cp -> cp.Checkpoint.detector) shard_cps))
       with
@@ -464,10 +459,7 @@ let ensure_detector st (nthreads, nlocks, nlocs) =
       | Some s -> Stdlib.max s nthreads
     in
     let config = { Detector.nthreads; nlocks; nlocs; clock_size; sampler = st.cfg.sampler } in
-    let det =
-      Sharded.create ~engine:st.cfg.engine ~shards:st.cfg.shards ~supervise:true
-        ~max_restarts:st.cfg.max_restarts config
-    in
+    let det = Sharded.create ~engine:st.cfg.engine ~shards:st.cfg.shards config in
     st.det <- Some det;
     st.universe <- Some (nthreads, nlocks, nlocs);
     st.clock_size <- clock_size;
@@ -513,16 +505,32 @@ let rec drain_parked st det =
 
 let reply = Evloop.reply
 
-(* A shard past its restart budget is unrecoverable within this process:
-   reply with the diagnostic, then fail fast — clients hold the full stream
-   and can replay into a fresh server. *)
-let fail_fast st conn msg =
+(* The shards run unsupervised, so any failure under a command — an engine
+   exception on the in-line K = 1 path (an injected [Fault.Injected]
+   included), or a [Failure] surfacing from a dead shard domain — is
+   unrecoverable within this process: the detector may hold a half-applied
+   batch.  Reply with the diagnostic and fail fast.  Recovery is the
+   process's: [--resume] from the last good checkpoint set (or a router
+   respawn at SEQ), and clients resend idempotently.  Once failed, every
+   later command is refused, so no batch is acked after the failure. *)
+let failure_text = function
+  | Failure msg -> msg
+  | exn -> Printexc.to_string exn
+
+let fail_fast st conn exn =
+  let msg = failure_text exn in
   st.failed <- Some msg;
   st.stop_reason <- "shard failure";
   st.quit <- true;
   reply conn (Printf.sprintf "ERR %s\n" msg)
 
+let refuse_if_failed st conn k =
+  match st.failed with
+  | Some msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
+  | None -> k ()
+
 let handle_batch st conn base payload =
+  refuse_if_failed st conn @@ fun () ->
   if base < 0 then reply conn "ERR negative base index\n"
   else
     (* [unsafe_of_string]: [payload] is a fresh private string from
@@ -553,6 +561,7 @@ let handle_batch st conn base payload =
             feed st det trace base;
             drain_parked st det;
             maybe_checkpoint st;
+            Sharded.check det;
             let ingested = st.expected - before in
             let tel = st.tel in
             if ingested = 0 then Registry.incr tel.duplicate_total
@@ -565,15 +574,14 @@ let handle_batch st conn base payload =
               (Int64.to_int (Int64.sub (Clock.now_ns ()) t0));
             reply conn (Printf.sprintf "OK %d\n" st.expected)
           end
-        with
-        | Failure msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
-        | Sharded.Shard_failed msg -> fail_fast st conn msg))
+        with exn -> fail_fast st conn exn))
 
 (* A cluster sub-stream batch.  The router is this worker's only client and
    sends sequence-contiguous CBATCHes, so there is no parking here — only
    the idempotent prefix skip that makes post-recovery replays (and a
    restarted router replaying from zero) exact. *)
 let handle_cbatch st conn seq payload =
+  refuse_if_failed st conn @@ fun () ->
   if seq < 0 then reply conn "ERR negative sequence number\n"
   else
     match Cmsg.decode payload with
@@ -602,6 +610,7 @@ let handle_cbatch st conn seq payload =
             done;
             st.expected <- Stdlib.max st.expected (seq + n);
             maybe_checkpoint st;
+            Sharded.check det;
             let ingested = st.expected - before in
             let tel = st.tel in
             if ingested = 0 then Registry.incr tel.duplicate_total
@@ -614,9 +623,7 @@ let handle_cbatch st conn seq payload =
               (Int64.to_int (Int64.sub (Clock.now_ns ()) t0));
             reply conn (Printf.sprintf "OK %d\n" st.expected)
           end
-        with
-        | Failure msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
-        | Sharded.Shard_failed msg -> fail_fast st conn msg))
+        with exn -> fail_fast st conn exn))
 
 (* --- STATS ----------------------------------------------------------------- *)
 
@@ -630,7 +637,6 @@ let refresh_cheap st =
   match st.det with
   | None -> ()
   | Some det ->
-    Registry.set_counter tel.shard_restarts (Sharded.restarts_total det);
     Array.iteri
       (fun k occ -> if k < Array.length tel.ring_gauges then Registry.set tel.ring_gauges.(k) occ)
       (Sharded.ring_occupancy det);
@@ -711,6 +717,23 @@ let heartbeat_line st =
     (float_of_int (Histogram.quantile tel.ingest_ns 0.99) /. 1e6)
     (float_of_int (Histogram.max_value tel.ingest_ns) /. 1e6)
 
+(* A command answered from the detector: a shard failure surfacing in the
+   flush behind it is fatal too. *)
+let answer st conn render =
+  refuse_if_failed st conn @@ fun () ->
+  match st.det with
+  | None -> reply conn "ERR no events ingested\n"
+  | Some det -> (
+    match render det with
+    | text -> reply conn text
+    | exception exn -> fail_fast st conn exn)
+
+let stats_reply st conn format =
+  refuse_if_failed st conn @@ fun () ->
+  match stats_payload st format with
+  | text -> reply conn (Printf.sprintf "STATS %d\n%s" (String.length text) text)
+  | exception exn -> fail_fast st conn exn
+
 let handle_line st conn line =
   match String.split_on_char ' ' (String.trim line) with
   | [ "BATCH"; base; nbytes ] -> (
@@ -723,45 +746,21 @@ let handle_line st conn line =
     | Some s, Some n when n >= 0 ->
       Evloop.await_blob conn n (fun payload -> handle_cbatch st conn s payload)
     | _ -> reply conn "ERR malformed CBATCH header\n")
-  | [ "REPORT" ] -> (
-    match st.det with
-    | None -> reply conn "ERR no events ingested\n"
-    | Some det -> (
-      try
+  | [ "REPORT" ] ->
+    answer st conn (fun det ->
         let text = report_text ~events:(Sharded.events det) (Sharded.result det) in
-        reply conn (Printf.sprintf "REPORT %d\n%s" (String.length text) text)
-      with
-      | Failure msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
-      | Sharded.Shard_failed msg -> fail_fast st conn msg))
-  | [ "RESULT" ] -> (
+        Printf.sprintf "REPORT %d\n%s" (String.length text) text)
+  | [ "RESULT" ] ->
     (* the raw partial result, for a cluster router's merge *)
-    match st.det with
-    | None -> reply conn "ERR no events ingested\n"
-    | Some det -> (
-      try
+    answer st conn (fun det ->
         let blob = Cmsg.encode_result (Sharded.result det) in
-        reply conn (Printf.sprintf "RESULT %d\n%s" (String.length blob) blob)
-      with
-      | Failure msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
-      | Sharded.Shard_failed msg -> fail_fast st conn msg))
+        Printf.sprintf "RESULT %d\n%s" (String.length blob) blob)
   | [ "SEQ" ] ->
     (* where this session's stream stands — what a recovering router uses
        to find the replay point after respawning a worker *)
     reply conn (Printf.sprintf "SEQ %d\n" st.expected)
-  | [ "STATS" ] | [ "STATS"; "PROM" ] -> (
-    try
-      let text = stats_payload st `Prometheus in
-      reply conn (Printf.sprintf "STATS %d\n%s" (String.length text) text)
-    with
-    | Failure msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
-    | Sharded.Shard_failed msg -> fail_fast st conn msg)
-  | [ "STATS"; "JSON" ] -> (
-    try
-      let text = stats_payload st `Json in
-      reply conn (Printf.sprintf "STATS %d\n%s" (String.length text) text)
-    with
-    | Failure msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
-    | Sharded.Shard_failed msg -> fail_fast st conn msg)
+  | [ "STATS" ] | [ "STATS"; "PROM" ] -> stats_reply st conn `Prometheus
+  | [ "STATS"; "JSON" ] -> stats_reply st conn `Json
   | [ "SHUTDOWN" ] ->
     write_checkpoint st;
     reply conn "BYE\n";
@@ -848,14 +847,17 @@ let run cfg =
   in
   if st.stop_reason <> "" then
     Printf.eprintf "racedet serve: shutting down (%s)\n%!" st.stop_reason;
-  (match st.failed with
-  | Some _ -> ()  (* fail-fast: the on-disk checkpoint of the last good batch stands *)
-  | None ->
-    write_checkpoint st;
-    (try write_metrics_json_file st
-     with Sharded.Shard_failed msg -> st.failed <- Some msg));
+  (* fail-fast: the on-disk checkpoint of the last good batch stands; a
+     shard failure first seen by the final flush or the join counts the
+     same *)
+  let note_failure exn = if st.failed = None then st.failed <- Some (failure_text exn) in
+  (if st.failed = None then
+     try
+       write_checkpoint st;
+       write_metrics_json_file st
+     with exn -> note_failure exn);
   (match st.det with
-  | Some det -> ( try Sharded.stop det with Sharded.Shard_failed _ -> ())
+  | Some det -> ( try Sharded.stop det with exn -> note_failure exn)
   | None -> ());
   List.iter Evloop.close_conn remaining;
   Unix.close listen_fd;
@@ -865,9 +867,8 @@ let run cfg =
   (match cfg.chaos with
   | None -> ()
   | Some _ ->
-    Printf.eprintf "racedet serve: chaos summary: %d faults fired over %d checks, %d shard restarts\n%!"
-      (Fault.fired ()) (Fault.checks ())
-      (match st.det with Some det -> Sharded.restarts_total det | None -> 0));
+    Printf.eprintf "racedet serve: chaos summary: %d faults fired over %d checks\n%!"
+      (Fault.fired ()) (Fault.checks ()));
   match st.failed with
   | Some msg -> failwith ("racedet serve: " ^ msg)
   | None -> ()

@@ -57,21 +57,29 @@
 
     {2 Robustness}
 
-    The daemon's sharded detector runs {e supervised}
-    ({!Sharded.create}[ ~supervise:true]): a shard worker that dies is
-    rebuilt from its last published snapshot and its backlog replayed, so
-    verdicts are unaffected; a shard past its restart budget
-    ([max_restarts]) fails the daemon fast with a non-zero exit, leaving
-    the last good checkpoint set on disk for a replacement server to
-    resume from.  [SIGTERM] and [SIGINT] trigger the same graceful path as
+    The daemon's sharded detector runs {e unsupervised}; with one shard it
+    runs in the ingest domain itself (the {!Sharded} in-line path).  A
+    shard failure of any kind — an engine exception, an injected fault, a
+    dead shard domain — fails the daemon fast: [ERR] to the client whose
+    command saw it, [ERR] to every later command, no further checkpoint,
+    and a non-zero exit.  No batch is acked once the failure is seen.  On
+    the in-line path it is seen at once; a shard domain (two or more
+    shards) records it when it reaches the failing message, and the daemon
+    sees it before its next ack, at a flush (checkpoint, [REPORT],
+    [STATS]) or when a ring is full.  So without per-batch checkpoints a
+    few batches acked just before a domain failed may not have been
+    applied; [REPORT] then fails rather than answer short.  Recovery is
+    process-level: a replacement server [--resume]s from the last good
+    checkpoint set (or a cluster router respawns the worker and replays
+    from [SEQ]), and clients resend idempotently, so the final report is
+    still exact.  [SIGTERM] and [SIGINT] trigger the same graceful path as
     a [SHUTDOWN] command — drain the rings, write a final checkpoint set,
     dump [metrics_json] — even when the signal lands inside [accept] or a
     blocking read (both are EINTR-guarded).  A [chaos] config arms the
     deterministic fault-injection layer ({!Ft_fault.Fault}) over the
     daemon's injection points ([serve.recv], [shard.step], [spsc.push],
     [checkpoint.write]) and reports fired faults through the
-    [racedet_faults_injected] / [racedet_shard_restarts] counters and a
-    shutdown summary line. *)
+    [racedet_faults_injected] counter and a shutdown summary line. *)
 
 (** {1 Transport addresses} *)
 
@@ -135,16 +143,12 @@ type config = {
   metrics_json : string option;
       (** write the full telemetry + merged-metrics JSON document (the
           [STATS JSON] payload) to this file on shutdown *)
-  max_restarts : int;
-      (** per-shard supervisor restart budget before the daemon fails fast
-          ({!default_max_restarts}) *)
   chaos : Ft_fault.Fault.config option;
       (** arm this fault-injection schedule at startup ([--chaos]) *)
 }
 
 val default_max_parked : int
 val default_checkpoint_every : int
-val default_max_restarts : int
 
 val default_deadline_s : float
 (** Overall per-operation client deadline (30 s) used when [?deadline_s]
@@ -155,9 +159,9 @@ val run : config -> unit
     [SIGTERM]/[SIGINT] (both shut down gracefully: final checkpoint +
     metrics dump).  Refuses to start when [listen] is a Unix path with a
     live listener; removes the socket file on exit.  Blocking; spawns the
-    shard domains — call it from a dedicated (child) process.  Raises
-    [Failure] after cleanup if a shard exhausted its restart budget (the
-    CLI turns that into a non-zero exit). *)
+    shard domains (none with one shard) — call it from a dedicated (child)
+    process.  Raises [Failure] after cleanup if a shard failed (the CLI
+    turns that into a non-zero exit). *)
 
 val report_text : events:int -> Ft_core.Detector.result -> string
 (** The analysis report, byte-identical to [racedet analyze]'s output —

@@ -68,6 +68,7 @@ type t = {
   config : Detector.config;
   k : int;
   supervise : bool;
+  inline : bool;  (* K = 1, unsupervised: the caller's domain is the shard *)
   max_restarts : int;
   snapshot_every : int;
   shards : shard array;
@@ -92,6 +93,11 @@ let owner_of ~shards x =
     let h = (h lxor (h lsr 16)) * 0x85EBCA6B in
     ((h lxor (h lsr 13)) land max_int) mod shards
   end
+
+let apply inst = function
+  | Ev (i, e) -> inst.i_handle i e
+  | Mark th -> inst.i_note th
+  | Stop -> assert false
 
 (* Workers process their ring until [Stop].  A handler exception is recorded
    once (first failure wins) and the worker keeps draining without
@@ -122,10 +128,7 @@ let worker sh inst ~supervise ~snapshot_every ~start idx () =
           try
             Fault.point ~lane:idx
               ~supports:[ Fault.Exn; Fault.Crash_domain; Fault.Delay ] "shard.step";
-            (match msg with
-            | Ev (i, e) -> inst.i_handle i e
-            | Mark th -> inst.i_note th
-            | Stop -> assert false);
+            apply inst msg;
             incr processed;
             if supervise && snapshot_every > 0 && !processed mod snapshot_every = 0
             then Atomic.set sh.snap_slot (Some (!processed, inst.i_snapshot ()))
@@ -184,6 +187,8 @@ let adopt_snapshot sh =
     end
   | _ -> ()
 
+let failure_msg s reason = Printf.sprintf "Sharded: shard %d failed: %s" s reason
+
 let first_line s = match String.index_opt s '\n' with
   | None -> s
   | Some i -> String.sub s 0 i
@@ -217,7 +222,7 @@ let rec heal t s =
   | Some (reason, _) ->
     if not t.supervise then begin
       reap t s;
-      failwith (Printf.sprintf "Sharded: shard %d failed: %s" s reason)
+      failwith (failure_msg s reason)
     end;
     sh.restarts <- sh.restarts + 1;
     reap t s;
@@ -253,32 +258,53 @@ let rec heal t s =
 let check_dead sh =
   match sh.dead with Some diag -> raise (Shard_failed diag) | None -> ()
 
+(* The in-line path: the caller's domain runs the only shard's engine — no
+   ring, no worker domain, no spin-wait.  A raising handler poisons the
+   shard as a failed worker domain would: the exception propagates now, and
+   every later operation fails with the recorded diagnostic.  There is no
+   domain to crash, so [shard.step] fires [Exn] and [Delay] only. *)
+let step_inline t m =
+  let sh = t.shards.(0) in
+  (match Atomic.get sh.fail with
+  | Some (reason, _) -> failwith (failure_msg 0 reason)
+  | None -> ());
+  try
+    Fault.point ~supports:[ Fault.Exn; Fault.Delay ] "shard.step";
+    apply sh.inst m
+  with exn ->
+    let bt = Printexc.get_raw_backtrace () in
+    Atomic.set sh.fail (Some (Printexc.to_string exn, false));
+    Printexc.raise_with_backtrace exn bt
+
 (* Route one message to shard [s].  Failure-aware: a supervised push heals
    a failed shard first (the healed replay delivers [m], which is already
    in the backlog); an unsupervised push surfaces the failure only when the
    ring is full (a draining worker keeps it empty), preserving the old
    fail-at-flush behavior. *)
 let push_msg t s m =
-  let sh = t.shards.(s) in
-  check_dead sh;
-  if t.supervise then begin
-    adopt_snapshot sh;
-    backlog_push sh m
-  end;
-  sh.pushed <- sh.pushed + 1;
-  Fault.point ~lane:s ~supports:[ Fault.Delay ] "spsc.push";
-  if t.supervise && Atomic.get sh.fail <> None then heal t s
+  if t.inline then step_inline t m
   else begin
-    let rec go () =
-      if not (Spsc.try_push sh.ring m) then begin
-        if Atomic.get sh.fail <> None then heal t s
-        else begin
-          Domain.cpu_relax ();
-          go ()
+    let sh = t.shards.(s) in
+    check_dead sh;
+    if t.supervise then begin
+      adopt_snapshot sh;
+      backlog_push sh m
+    end;
+    sh.pushed <- sh.pushed + 1;
+    Fault.point ~lane:s ~supports:[ Fault.Delay ] "spsc.push";
+    if t.supervise && Atomic.get sh.fail <> None then heal t s
+    else begin
+      let rec go () =
+        if not (Spsc.try_push sh.ring m) then begin
+          if Atomic.get sh.fail <> None then heal t s
+          else begin
+            Domain.cpu_relax ();
+            go ()
+          end
         end
-      end
-    in
-    go ()
+      in
+      go ()
+    end
   end
 
 let build ~engine ~shards:k ?(supervise = false) ?(max_restarts = default_max_restarts)
@@ -291,6 +317,7 @@ let build ~engine ~shards:k ?(supervise = false) ?(max_restarts = default_max_re
       config;
       k;
       supervise;
+      inline = k = 1 && not supervise;
       max_restarts;
       snapshot_every;
       shards =
@@ -320,9 +347,10 @@ let build ~engine ~shards:k ?(supervise = false) ?(max_restarts = default_max_re
       stopped = false;
     }
   in
-  for s = 0 to k - 1 do
-    spawn_shard t s
-  done;
+  if not t.inline then
+    for s = 0 to k - 1 do
+      spawn_shard t s
+    done;
   t
 
 let create ~engine ~shards:k ?supervise ?max_restarts ?snapshot_every
@@ -406,8 +434,6 @@ let shard_event_counts t = Array.copy t.routed
 
 let ring_occupancy t = Array.map (fun sh -> Spsc.length sh.ring) t.shards
 
-let restart_counts t = Array.map (fun sh -> sh.restarts) t.shards
-
 let restarts_total t = Array.fold_left (fun acc sh -> acc + sh.restarts) 0 t.shards
 
 (* Wait until every shard has fully processed everything routed so far,
@@ -432,6 +458,14 @@ let flush t =
     done
   end
   else Array.iter check_dead t.shards
+
+let check t =
+  if not t.stopped then
+    Array.iteri
+      (fun s sh ->
+        check_dead sh;
+        if Atomic.get sh.fail <> None then heal t s)
+      t.shards
 
 let result t =
   flush t;
@@ -487,7 +521,7 @@ let stop t =
         (fun s sh ->
           match Atomic.get sh.fail with
           | Some (reason, _) ->
-            failwith (Printf.sprintf "Sharded: shard %d failed: %s" s reason)
+            failwith (failure_msg s reason)
           | None -> ())
         t.shards
   end

@@ -1,7 +1,8 @@
 (** Location-sharded parallel online detection.
 
     A sharded detector wraps K instances of one engine, each running on its
-    own domain behind a bounded SPSC ring ({!Spsc}).  The router (the caller's
+    own domain behind a bounded SPSC ring ({!Spsc}) — unless K = 1 and
+    unsupervised, see "The in-line path" below.  The router (the caller's
     domain) partitions access events by [hash(location) mod K] and broadcasts
     every synchronization event (acquire/release/fork/join/atomic) to all K
     shards, so each shard's thread and lock clocks evolve {e exactly} as in an
@@ -40,10 +41,22 @@
     and every subsequent operation raises {!Shard_failed} — fail fast rather
     than loop forever on a deterministic fault.
 
-    Without supervision (the default) behavior is exactly the pre-supervisor
-    one — no backlog, no snapshot publishing, worker failures surface as
-    [Failure] from {!flush}/{!result}/{!stop} — so existing callers pay
-    nothing. *)
+    Without supervision (the default) there is no backlog and no snapshot
+    publishing: worker failures surface as [Failure] from
+    {!flush}/{!result}/{!stop}, and the caller owns recovery (the serve
+    daemon fails fast and is healed by [--resume] or a router respawn).
+
+    {2 The in-line path}
+
+    An unsupervised detector with K = 1 runs its one engine in the caller's
+    domain: no ring, no worker domain, no spin-wait.  {!handle} and
+    {!note_sampled} call the engine directly and {!flush}/{!stop} have
+    nothing to wait for.  A handler exception propagates out of the call
+    that raised it and poisons the detector: every later operation raises
+    [Failure] with the recorded diagnostic.  The [shard.step] fault point
+    stays on this path with [Exn] and [Delay] only — there is no domain to
+    crash.  Snapshots are the same bytes as on the domain path, so a
+    checkpoint set written by either path restores into the other. *)
 
 type t
 
@@ -63,9 +76,10 @@ val create :
   ?snapshot_every:int ->
   Ft_core.Detector.config ->
   t
-(** Spawn [shards] worker domains (K ≥ 1).  Every sharded detector must be
-    {!stop}ped, or its domains leak.  [?supervise] (default [false]) enables
-    self-healing as described above; [?max_restarts] (default 8) is the
+(** Spawn [shards] worker domains (K ≥ 1; none for the in-line K = 1
+    path).  Every sharded detector must be {!stop}ped, or its domains
+    leak.  [?supervise] (default [false]) enables self-healing as described
+    above; [?max_restarts] (default 8) is the
     per-shard restart budget; [?snapshot_every] (default 2048) is how many
     messages a supervised worker processes between published recovery
     snapshots — smaller means cheaper replays and more snapshot overhead. *)
@@ -73,8 +87,10 @@ val create :
 val handle : t -> int -> Ft_trace.Event.t -> unit
 (** Route event [i].  Indices must be fed in increasing order, as with
     {!Ft_core.Detector.S.handle}.  Blocks (backpressure) when a shard's ring
-    is full.  Raises [Failure] if called after {!stop}; a supervised call may
-    heal a failed shard in-line (replaying its backlog) before returning, and
+    is full.  Raises [Failure] if called after {!stop}.  On the in-line path
+    an engine exception (including an injected {!Ft_fault.Fault.Injected})
+    propagates from here, and later calls raise [Failure].  A supervised
+    call may heal a failed shard (replaying its backlog) before returning, and
     raises {!Shard_failed} once a shard is past its restart budget. *)
 
 val note_sampled : t -> Ft_trace.Event.tid -> unit
@@ -96,13 +112,13 @@ val shard_event_counts : t -> int array
 val ring_occupancy : t -> int array
 (** Instantaneous unconsumed-message count of each shard's ring, readable
     from any domain.  A telemetry snapshot: concurrent workers may have
-    drained (or the router filled) slots by the time the array returns. *)
-
-val restart_counts : t -> int array
-(** Supervisor restarts performed per shard so far (all zeros when
-    unsupervised or fault-free) — the [racedet_shard_restarts] series. *)
+    drained (or the router filled) slots by the time the array returns.
+    Always [[|0|]] on the in-line path. *)
 
 val restarts_total : t -> int
+(** Supervisor restarts performed so far, over all shards (0 when
+    unsupervised or fault-free) — what chaos-armed [analyze --shards]
+    reports. *)
 
 val flush : t -> unit
 (** Wait until every shard has fully processed everything routed so far.
@@ -110,6 +126,13 @@ val flush : t -> unit
     worker hit.  Supervised: heals failed shards (restoring and replaying)
     until every ring is drained cleanly, raising {!Shard_failed} only past
     the restart budget. *)
+
+val check : t -> unit
+(** Surface a failure a shard has already recorded, without waiting for
+    the rings to drain: unsupervised, raise it (as [Failure]) as {!flush}
+    would; supervised, heal it.  A few atomic loads when nothing failed —
+    cheap enough to call before every acknowledgment.  A shard still
+    working through earlier messages may fail after [check] returns. *)
 
 val result : t -> Ft_core.Detector.result
 (** {!flush}, then merge: races from all shards sorted by declaration index

@@ -24,6 +24,7 @@ module Serve = Ft_shard.Serve
 module Router = Ft_cluster.Router
 module Chash = Ft_cluster.Chash
 module Fault = Ft_fault.Fault
+module Json = Ft_obs.Json
 
 (* The crash tests write into sockets whose router has just been killed —
    without this the default SIGPIPE disposition kills the test runner. *)
@@ -266,6 +267,108 @@ let test_chaos_worker_crash ~checkpoint () =
     (Printf.sprintf "chaos worker kill (checkpoint=%b) ≡ analyze" checkpoint)
     (expected_report ~engine ~sampler trace)
     report
+
+(* A worker-side fault: the router's chaos schedule restricted to
+   [shard.step], which only worker processes hit.  A faulting worker fails
+   fast (ERR + exit), the router respawns it from its checkpoints and
+   replays from SEQ.  Each respawn draws a schedule of its own.  The seed
+   is picked so that the router's own schedule fires early, well inside
+   the first CBATCH a respawned worker replays: an inherited schedule would
+   then fire at the same hit in every generation, before any checkpoint,
+   until the respawn budget is spent. *)
+let first_shard_fault (cfg : Fault.config) =
+  Fault.arm { cfg with Fault.log = false };
+  let rec hits h =
+    match Fault.point ~supports:[ Fault.Exn; Fault.Delay ] "shard.step" with
+    | () -> hits (h + 1)
+    | exception Fault.Injected _ -> h
+  in
+  let h = hits 1 in
+  Fault.disarm ();
+  h
+
+let test_worker_shard_fault () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.3 ~seed:61 in
+  let trace = sample_trace ~seed:67 ~length:1_500 () in
+  let socket = Filename.concat dir "route.sock" in
+  let metrics = Filename.concat dir "route-metrics.json" in
+  let chaos seed =
+    {
+      (Fault.default ~seed) with
+      Fault.prob = 0.002;
+      points = Some [ "shard.step" ];
+      kinds = Some [ Fault.Exn ];
+    }
+  in
+  let rec early seed = if first_shard_fault (chaos seed) <= 64 then seed else early (seed + 1) in
+  let cfg =
+    {
+      (router_config ~workers:2 ~worker_shards:1 ~engine ~sampler ~dir
+         (Serve.Unix_path socket))
+      with
+      Router.metrics_json = Some metrics;
+      chaos = Some (chaos (early 1));
+    }
+  in
+  let report = cluster_report ~cfg ~socket (slices trace ~batch:100) in
+  Alcotest.(check string) "worker shard.step fault ≡ analyze"
+    (expected_report ~engine ~sampler trace)
+    report;
+  let doc =
+    get_ok "metrics JSON" (Json.parse (In_channel.with_open_bin metrics In_channel.input_all))
+  in
+  let respawns =
+    Option.bind (Json.member "telemetry" doc) (Json.member "router_worker_respawns_total")
+    |> Fun.flip Option.bind Json.to_int
+    |> Option.value ~default:(-1)
+  in
+  Alcotest.(check bool) (Printf.sprintf "respawns (%d) >= 1" respawns) true (respawns >= 1)
+
+(* A steady worker-side fault rate: every shard fault ends a worker
+   process, so the router heals between processes.  A crashed worker
+   checkpoints every CBATCH and replays in small CBATCHes, and the respawn
+   budget counts only respawns without durable progress: the run survives
+   more respawns than the budget, each generation healing past its fault. *)
+let test_steady_worker_faults () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.3 ~seed:71 in
+  let trace = sample_trace ~seed:73 ~length:3_000 () in
+  let socket = Filename.concat dir "route.sock" in
+  let metrics = Filename.concat dir "route-metrics.json" in
+  let cfg =
+    {
+      (router_config ~workers:2 ~worker_shards:1 ~engine ~sampler ~dir
+         (Serve.Unix_path socket))
+      with
+      Router.metrics_json = Some metrics;
+      chaos =
+        Some
+          {
+            (Fault.default ~seed:9) with
+            Fault.prob = 0.003;
+            points = Some [ "shard.step" ];
+            kinds = Some [ Fault.Exn ];
+            log = false;
+          };
+    }
+  in
+  let report = cluster_report ~cfg ~socket (slices trace ~batch:100) in
+  Alcotest.(check string) "steady worker faults ≡ analyze"
+    (expected_report ~engine ~sampler trace)
+    report;
+  let doc =
+    get_ok "metrics JSON" (Json.parse (In_channel.with_open_bin metrics In_channel.input_all))
+  in
+  let respawns =
+    Option.bind (Json.member "telemetry" doc) (Json.member "router_worker_respawns_total")
+    |> Fun.flip Option.bind Json.to_int
+    |> Option.value ~default:(-1)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "respawns (%d) > budget (%d)" respawns Router.default_max_respawns)
+    true
+    (respawns > Router.default_max_respawns)
 
 (* External SIGKILL via the advertised pid file — the path a CI smoke or an
    operator takes; the router discovers the death at the next send and
@@ -690,6 +793,10 @@ let () =
           Alcotest.test_case "chaos worker kill, full-log replay" `Quick
             (test_chaos_worker_crash ~checkpoint:false);
           Alcotest.test_case "external SIGKILL via pid file" `Quick test_external_sigkill;
+          Alcotest.test_case "worker shard.step fault, respawn re-arms chaos" `Quick
+            test_worker_shard_fault;
+          Alcotest.test_case "steady worker faults heal past the respawn budget" `Quick
+            test_steady_worker_faults;
         ] );
       ( "durability",
         [

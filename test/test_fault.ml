@@ -12,12 +12,16 @@
      with a random kind, for a random engine/sampler/K, changes nothing;
    - bounded restarts: a deterministic always-failing fault exhausts the
      budget and fails fast with [Sharded.Shard_failed];
+   - the unsupervised in-line K=1 path: an injected fault raises at the
+     faulted event and poisons the detector;
    - checkpoint durability: a torn write leaves the previous .ftc intact and
      loadable;
-   - the serve daemon: connect backoff against a slow-starting server,
-     SIGTERM graceful shutdown (final checkpoint + metrics dump) followed by
-     an exact resume, and a chaos-armed session whose REPORT still matches
-     analyze. *)
+   - the serve daemon, which does not supervise its shards: connect backoff
+     against a slow-starting server, SIGTERM graceful shutdown (final
+     checkpoint + metrics dump) followed by an exact resume, chaos-armed
+     daemons that fail fast and are resumed round after round until the
+     REPORT matches analyze, and one exact shard fault at a random cut
+     (K=1 in-line and K=3): ERR, non-zero exit, exact resume. *)
 
 module Trace = Ft_trace.Trace
 module Trace_gen = Ft_trace.Trace_gen
@@ -300,6 +304,32 @@ let test_restart_budget_fails_fast () =
       "diagnostic names the budget" true
       (contains ~sub:"restart budget" msg)
 
+(* The in-line K = 1 path has no supervisor and no domain to crash: the
+   injected exception leaves [handle] at the faulted message itself, and
+   the detector stays poisoned — every later call fails with the
+   diagnostic instead of running on a half-applied event. *)
+let test_inline_fault_poisons () =
+  with_disarm @@ fun () ->
+  let trace = Lazy.force chaos_trace in
+  let config = config_for trace Sampler.all in
+  let sh = Sharded.create ~engine:Engine.So ~shards:1 config in
+  let hit = 1 + (Trace.length trace / 2) in
+  Fault.arm_exact ~point:"shard.step" ~hit Fault.Exn;
+  let raised_at = ref None in
+  (try Trace.iteri (fun i e -> Sharded.handle sh i e) trace
+   with Fault.Injected _ -> raised_at := Some (Sharded.events sh));
+  Fault.disarm ();
+  (* [Trace_gen] traces are all events, and every event is one message at K=1 *)
+  Alcotest.(check (option int)) "raised at the faulted event" (Some (hit - 1)) !raised_at;
+  let fails what f =
+    match f () with
+    | _ -> Alcotest.failf "%s after an in-line fault must fail" what
+    | exception Failure _ -> ()
+  in
+  fails "handle" (fun () -> Sharded.handle sh (hit - 1) (Trace.get trace (hit - 1)));
+  fails "result" (fun () -> ignore (Sharded.result sh));
+  fails "stop" (fun () -> Sharded.stop sh)
+
 (* --- checkpoint durability --------------------------------------------------- *)
 
 let sample_checkpoint payload =
@@ -383,15 +413,15 @@ let server_config ?checkpoint_dir ?resume_dir ?metrics_json ?chaos ~engine ~shar
     ready_file = None;
     heartbeat_s = None;
     metrics_json;
-    max_restarts = Serve.default_max_restarts;
     chaos;
   }
 
-let start_server ?(delay_s = 0.0) cfg =
+let start_server ?(delay_s = 0.0) ?(arm = ignore) cfg =
   match Unix.fork () with
   | 0 ->
     (try
        if delay_s > 0.0 then Unix.sleepf delay_s;
+       arm ();
        Serve.run cfg
      with exn ->
        Printf.eprintf "server died: %s\n%!" (Printexc.to_string exn);
@@ -514,8 +544,37 @@ let test_sigterm_graceful_then_resume () =
   get_ok "shutdown" (Serve.shutdown fd);
   reap pid
 
-(* A chaos-armed daemon — worker crashes, ring delays, recv hiccups, torn
-   checkpoint writes — still answers with the exact report. *)
+let exit_code pid =
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED n -> n
+  | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) -> 128 + n
+
+(* Send every batch (blind resend: a resumed daemon skips its ingested
+   prefix), then fetch the report.  [Error] carries the first non-OK reply
+   — a daemon that saw a shard failure answers ERR and exits. *)
+let send_all_then_report fd batches =
+  let rec go = function
+    | [] -> Serve.fetch_report fd
+    | (base, sub) :: rest -> (
+      match Serve.send_batch fd ~base sub with
+      | Ok _ -> go rest
+      | Error _ as e -> e)
+  in
+  go batches
+
+let is_prefix ~prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+(* A chaos-armed daemon — shard exceptions and domain crashes, ring delays,
+   recv hiccups, torn checkpoint writes — no longer heals its shards in
+   process: a shard fault fails it fast with a non-zero exit.  The
+   guarantee is restated against process-level recovery: each round
+   resumes from the checkpoint set under a fresh chaos seed and the client
+   blindly resends the whole stream, until one daemon serves the report.
+   Resends of the ingested prefix never reach a shard, so every round
+   starts where the last good checkpoint left off; at this [p] each daemon
+   fails after a few hundred shard messages, and the rounds are bounded. *)
 let test_serve_with_chaos () =
   with_temp_dir @@ fun dir ->
   let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.3 ~seed:5 in
@@ -525,26 +584,114 @@ let test_serve_with_chaos () =
   let ckpt = Filename.concat dir "ckpt" in
   Unix.mkdir ckpt 0o700;
   Fun.protect ~finally:(fun () -> rm_rf ckpt) @@ fun () ->
-  let chaos =
+  let batches = slices trace ~batch:200 in
+  let chaos round =
     match
       Fault.parse
-        "11:p=0.004,points=shard.step+spsc.push+serve.recv+checkpoint.write,kinds=exn+crash_domain+delay+torn_write,delay=0.0002,max=8"
+        (Printf.sprintf
+           "%d:p=0.002,points=shard.step+spsc.push+serve.recv+checkpoint.write,kinds=exn+crash_domain+delay+torn_write,delay=0.0002,max=8"
+           (11 + round))
     with
     | Ok c -> c
     | Error msg -> Alcotest.failf "chaos spec rejected: %s" msg
   in
-  let cfg = server_config ~engine ~shards:3 ~sampler ~checkpoint_dir:ckpt ~chaos socket in
-  let pid = start_server cfg in
-  Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
-  let fd = Serve.connect (Serve.Unix_path socket) in
-  Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
-  List.iter
-    (fun (base, sub) -> ignore (get_ok "chaos batch" (Serve.send_batch fd ~base sub)))
-    (slices trace ~batch:200);
-  let report = get_ok "chaos report" (Serve.fetch_report fd) in
-  Alcotest.(check string) "chaos serve ≡ analyze" expected report;
-  get_ok "shutdown" (Serve.shutdown fd);
-  reap pid
+  let max_rounds = 40 in
+  let rec round r ~failed =
+    if r >= max_rounds then
+      Alcotest.failf "no chaos daemon served the report in %d rounds" max_rounds;
+    let resume_dir = if r = 0 then None else Some ckpt in
+    let cfg =
+      server_config ~engine ~shards:3 ~sampler ~checkpoint_dir:ckpt ?resume_dir
+        ~chaos:(chaos r) socket
+    in
+    let pid = start_server cfg in
+    let outcome =
+      match
+        let fd = Serve.connect (Serve.Unix_path socket) in
+        Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+        Result.map
+          (fun report ->
+            get_ok "shutdown" (Serve.shutdown fd);
+            report)
+          (send_all_then_report fd batches)
+      with
+      | outcome -> outcome
+      | exception e ->
+        kill_and_reap pid;
+        raise e
+    in
+    match outcome with
+    | Ok report ->
+      Alcotest.(check int) "clean round exits 0" 0 (exit_code pid);
+      (report, r, failed)
+    | Error msg ->
+      Alcotest.(check bool) (Printf.sprintf "shard fault answered ERR (%s)" msg) true
+        (is_prefix ~prefix:"ERR " msg);
+      Alcotest.(check bool) "failed daemon exits non-zero" true (exit_code pid <> 0);
+      (try Unix.unlink socket with Unix.Unix_error _ -> ());
+      round (r + 1) ~failed:(failed + 1)
+  in
+  let report, rounds, failed = round 0 ~failed:0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "at least one shard fault ended a daemon (%d of %d rounds)" failed
+       (rounds + 1))
+    true (failed >= 1);
+  Alcotest.(check string) "chaos serve + resume rounds ≡ analyze" expected report
+
+(* One [shard.step] exception at a random cut — the in-line K = 1 path
+   and domain shards alike: the batch that sees it gets ERR, the daemon
+   exits non-zero, and a successor resumed from the checkpoint set, fed a
+   blind resend, reports exactly. *)
+let test_exact_shard_fault ~shards () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.O1u and sampler = Sampler.bernoulli ~rate:0.3 ~seed:7 in
+  let trace = sample_trace ~seed:41 ~length:1_500 in
+  let expected = expected_report ~engine ~sampler trace in
+  let batches = slices trace ~batch:150 in
+  let prng = Prng.create ~seed:(0xc07 + shards) in
+  for _ = 1 to 2 do
+    let lane = Prng.int prng shards in
+    (* every shard sees every sync event, several hundred here *)
+    let hit = 1 + Prng.int prng 300 in
+    let socket = Filename.concat dir "serve.sock" in
+    let ckpt = Filename.concat dir "ckpt" in
+    Unix.mkdir ckpt 0o700;
+    Fun.protect ~finally:(fun () -> rm_rf ckpt) @@ fun () ->
+    let cfg = server_config ~engine ~shards ~sampler ~checkpoint_dir:ckpt socket in
+    let pid =
+      start_server ~arm:(fun () -> Fault.arm_exact ~lane ~point:"shard.step" ~hit Fault.Exn) cfg
+    in
+    let outcome =
+      match
+        let fd = Serve.connect (Serve.Unix_path socket) in
+        Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+        send_all_then_report fd batches
+      with
+      | outcome -> outcome
+      | exception e ->
+        kill_and_reap pid;
+        raise e
+    in
+    let cut = Printf.sprintf "K=%d lane %d hit %d" shards lane hit in
+    (match outcome with
+    | Ok _ ->
+      kill_and_reap pid;
+      Alcotest.failf "%s: the armed fault never fired" cut
+    | Error msg ->
+      Alcotest.(check bool) (Printf.sprintf "%s: ERR (%s)" cut msg) true
+        (is_prefix ~prefix:"ERR " msg));
+    Alcotest.(check bool) (cut ^ ": exit non-zero") true (exit_code pid <> 0);
+    (try Unix.unlink socket with Unix.Unix_error _ -> ());
+    let pid =
+      start_server (server_config ~engine ~shards ~sampler ~resume_dir:ckpt socket)
+    in
+    Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+    let fd = Serve.connect (Serve.Unix_path socket) in
+    Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+    let report = get_ok "post-resume report" (send_all_then_report fd batches) in
+    Alcotest.(check string) (cut ^ ": fail fast + resume ≡ analyze") expected report;
+    get_ok "shutdown" (Serve.shutdown fd)
+  done
 
 let () =
   Alcotest.run "fault"
@@ -568,6 +715,10 @@ let () =
             test_sigterm_graceful_then_resume;
           Alcotest.test_case "chaos-armed daemon still reports exactly" `Quick
             test_serve_with_chaos;
+          Alcotest.test_case "exact shard fault, in-line K=1: fail fast then resume" `Quick
+            (test_exact_shard_fault ~shards:1);
+          Alcotest.test_case "exact shard fault, K=3: fail fast then resume" `Quick
+            (test_exact_shard_fault ~shards:3);
         ] );
       ( "oracle",
         [
@@ -576,6 +727,8 @@ let () =
           QCheck_alcotest.to_alcotest kill_one_shard_test;
           Alcotest.test_case "restart budget fails fast" `Quick
             test_restart_budget_fails_fast;
+          Alcotest.test_case "in-line K=1 fault poisons the detector" `Quick
+            test_inline_fault_poisons;
         ] );
       ( "durability",
         [

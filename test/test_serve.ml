@@ -18,6 +18,7 @@ module Prng = Ft_support.Prng
 module Engine = Ft_core.Engine
 module Sampler = Ft_core.Sampler
 module Serve = Ft_shard.Serve
+module Cmsg = Ft_shard.Cmsg
 module Json = Ft_obs.Json
 
 let dir_counter = ref 0
@@ -62,7 +63,6 @@ let start_server ?checkpoint_dir ?resume_dir ?metrics_json ?chaos ~engine ~shard
            ready_file = None;
            heartbeat_s = None;
            metrics_json;
-           max_restarts = Serve.default_max_restarts;
            chaos;
          }
      with exn ->
@@ -237,6 +237,50 @@ let test_protocol_edges () =
   Alcotest.(check string) "session survived bad input" expected report;
   get_ok "shutdown" (Serve.shutdown fd);
   reap pid
+
+(* A CBATCH naming a thread, lock or location outside the batch universe is
+   bad input, not a shard failure: it answers ERR before the detector sees
+   it, and the daemon keeps serving (on the in-line K = 1 path an unchecked
+   id would raise inside the engine and fail the daemon fast). *)
+let test_cbatch_ids_out_of_range shards () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.So and sampler = Sampler.all in
+  let trace = sample_trace ~seed:6 ~length:400 in
+  let expected = expected_report ~engine ~sampler trace in
+  let socket = Filename.concat dir "serve.sock" in
+  let pid = start_server ~engine ~shards ~sampler socket in
+  Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+  let fd = Serve.connect (Serve.Unix_path socket) in
+  Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+  let { Trace.nthreads; nlocks; nlocs; _ } = trace in
+  let cbatch msgs =
+    Cmsg.encode ~nthreads ~nlocks ~nlocs msgs ~off:0 ~len:(Array.length msgs)
+  in
+  let events lo hi = Array.init (hi - lo) (fun j -> Cmsg.Ev (lo + j, Trace.get trace (lo + j))) in
+  let total = get_ok "first CBATCH" (Serve.send_cbatch fd ~seq:0 (cbatch (events 0 200))) in
+  Alcotest.(check int) "total after CBATCH 0" 200 total;
+  List.iter
+    (fun (what, msg) ->
+      match Serve.send_cbatch fd ~seq:200 (cbatch [| msg |]) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s accepted" what)
+    [
+      ("Mark past nthreads", Cmsg.Mark nthreads);
+      ("Ev thread past nthreads", Cmsg.Ev (200, Ft_trace.Event.mk nthreads (Read 0)));
+      ("Ev location past nlocs", Cmsg.Ev (200, Ft_trace.Event.mk 0 (Write nlocs)));
+      ("Ev lock past nlocks", Cmsg.Ev (200, Ft_trace.Event.mk 0 (Acquire nlocks)));
+      ("Ev join past nthreads", Cmsg.Ev (200, Ft_trace.Event.mk 0 (Join nthreads)));
+    ];
+  let total =
+    get_ok "rest" (Serve.send_cbatch fd ~seq:200 (cbatch (events 200 (Trace.length trace))))
+  in
+  Alcotest.(check int) "session kept its position" (Trace.length trace) total;
+  let report = get_ok "fetch_report" (Serve.fetch_report fd) in
+  Alcotest.(check string) "session survived bad ids" expected report;
+  get_ok "shutdown" (Serve.shutdown fd);
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "daemon did not exit cleanly after bad ids"
 
 (* --- crash mid-stream, resume from .ftc checkpoints ---------------------------- *)
 
@@ -606,6 +650,10 @@ let () =
             test_roundtrip_out_of_order;
           Alcotest.test_case "two clients, stride 2" `Quick test_two_clients_interleaved;
           Alcotest.test_case "protocol edges" `Quick test_protocol_edges;
+          Alcotest.test_case "CBATCH ids out of range, in-line K=1" `Quick
+            (test_cbatch_ids_out_of_range 1);
+          Alcotest.test_case "CBATCH ids out of range, K=3" `Quick
+            (test_cbatch_ids_out_of_range 3);
           Alcotest.test_case "large single batch streams through" `Quick
             test_large_single_batch;
           Alcotest.test_case "live listener refuses a second server" `Quick

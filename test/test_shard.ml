@@ -8,7 +8,8 @@
    - litmus traces that force router edge cases: the HB edge (lock,
      fork/join) lands on every shard while the racy accesses live on
      specific other shards, and pending-bit marks cross shard boundaries;
-   - sharded snapshot/restore mid-trace reproduces the uninterrupted run;
+   - sharded snapshot/restore mid-trace reproduces the uninterrupted run,
+     and a K=1 checkpoint set resumes across the domain and in-line paths;
    - Metrics.merge_shards: the Σ−(K−1)·baseline contract holds pointwise
      over the full field array, and K=1 is the identity;
    - the SPSC ring delivers in order under backpressure. *)
@@ -326,6 +327,65 @@ let test_sharded_snapshot_restore () =
       (Engine.Fasttrack, Sampler.all);
     ]
 
+(* K = 1 has two paths: supervised, the engine runs on a worker domain;
+   unsupervised, it runs in the caller's domain.  A checkpoint set is the
+   same bytes either way, so a set written by one path resumes on the other
+   — sets written before the in-line path existed included. *)
+let test_k1_paths_share_checkpoints () =
+  let prng = Prng.create ~seed:9 in
+  let trace =
+    Trace_gen.random prng
+      {
+        Trace_gen.default with
+        Trace_gen.nthreads = 4;
+        nlocks = 2;
+        nlocs = 10;
+        length = 600;
+        forkjoin = true;
+      }
+  in
+  let n = Trace.length trace and cut = 257 in
+  let snapshots sh = (Sharded.shard_snapshots sh, Sharded.router_snapshot sh) in
+  let feed sh lo hi =
+    for i = lo to hi - 1 do
+      Sharded.handle sh i (Trace.get trace i)
+    done
+  in
+  List.iter
+    (fun (id, sampler) ->
+      let config = config_for trace sampler in
+      let full = run_unsharded id config trace in
+      let prefix ~supervise =
+        let sh = Sharded.create ~engine:id ~shards:1 ~supervise config in
+        Fun.protect ~finally:(fun () -> Sharded.stop sh) @@ fun () ->
+        feed sh 0 cut;
+        snapshots sh
+      in
+      let resume ~supervise (shard_snaps, router) =
+        let sh = Sharded.restore ~engine:id ~shards:1 ~supervise config ~router shard_snaps in
+        Fun.protect ~finally:(fun () -> Sharded.stop sh) @@ fun () ->
+        feed sh cut n;
+        (Sharded.result sh, snapshots sh)
+      in
+      let domain_set = prefix ~supervise:true and inline_set = prefix ~supervise:false in
+      let name = Engine.name id in
+      Alcotest.(check bool) (name ^ ": same checkpoint bytes at the cut") true
+        (domain_set = inline_set);
+      let to_inline, inline_end = resume ~supervise:false domain_set in
+      let to_domain, domain_end = resume ~supervise:true inline_set in
+      if not (same_result ~events:n full to_inline) then
+        Alcotest.failf "%s: domain set resumed in-line diverges" name;
+      if not (same_result ~events:n full to_domain) then
+        Alcotest.failf "%s: in-line set resumed on a domain diverges" name;
+      Alcotest.(check bool) (name ^ ": same final snapshot bytes") true
+        (inline_end = domain_end))
+    [
+      (Engine.So, Sampler.cold_region ~threshold:2);
+      (Engine.O1u, Sampler.bernoulli ~rate:0.3 ~seed:3);
+      (Engine.Su, Sampler.adaptive ~base_rate:3);
+      (Engine.Fasttrack, Sampler.all);
+    ]
+
 let test_restore_rejects_wrong_k () =
   let prng = Prng.create ~seed:8 in
   let trace = Trace_gen.random prng { Trace_gen.default with Trace_gen.length = 100 } in
@@ -434,6 +494,8 @@ let () =
           Alcotest.test_case "sharded restore ≡ uninterrupted" `Quick
             test_sharded_snapshot_restore;
           Alcotest.test_case "wrong K rejected" `Quick test_restore_rejects_wrong_k;
+          Alcotest.test_case "K=1 checkpoints cross the domain and in-line paths" `Quick
+            test_k1_paths_share_checkpoints;
         ] );
       ( "metrics merge",
         [
