@@ -1,6 +1,6 @@
 (* Node [i] is thread [i]'s entry.  The doubly linked list is intrusive and
    packed: [links.(i)] holds both sibling pointers, biased by one so that
-   "none" (-1) encodes as 0 — a deep copy is then just two array blits,
+   "none" (-1) encodes as 0 — a deep copy is then just two array copies,
    which matters because Algorithm 4 trades per-release O(T) copies for
    occasional deep copies and their constant factor shows up directly in
    the latency experiments. *)
@@ -56,6 +56,20 @@ let increment o tid k =
 
 let deep_copy o =
   { time = Array.copy o.time; links = Array.copy o.links; head = o.head; tail = o.tail }
+
+(* A plain loop, not [Array.blit]: [dst] is long-lived, and blitting into a
+   major-heap array goes through the write barrier ([caml_modify]) for
+   every word even though the arrays hold only ints. *)
+let copy_into ~src ~dst =
+  let n = Array.length src.time in
+  if Array.length dst.time <> n then invalid_arg "Ordered_list.copy_into: size mismatch";
+  let st = src.time and sl = src.links and dt = dst.time and dl = dst.links in
+  for i = 0 to n - 1 do
+    Array.unsafe_set dt i (Array.unsafe_get st i);
+    Array.unsafe_set dl i (Array.unsafe_get sl i)
+  done;
+  dst.head <- src.head;
+  dst.tail <- src.tail
 
 let iter_prefix o d f =
   let rec loop node remaining =

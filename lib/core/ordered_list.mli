@@ -8,10 +8,10 @@
     [d]-prefix instead of the whole vector (Alg 4, line 10).
 
     Representation: each thread owns exactly one node, so nodes are indexed
-    by thread id and the list is three int arrays plus a head index.  A deep
-    copy is O(T) and preserves the recency order; a shallow copy is O(1)
-    reference sharing, resolved lazily by the detector (the [shared] flag
-    lives in the detector, not here). *)
+    by thread id and the list is two int arrays plus head and tail indices.
+    A deep copy is O(T) and preserves the recency order; a shallow copy is
+    O(1) reference sharing, resolved lazily by the detector (the [shared]
+    flag lives in the detector, not here). *)
 
 type t
 
@@ -31,7 +31,14 @@ val increment : t -> int -> int -> unit
 (** [increment o t k] adds [k] and moves [t]'s node to the head. O(1). *)
 
 val deep_copy : t -> t
-(** Fresh structure with identical values *and identical order*. O(T). *)
+(** Fresh structure with identical values *and identical order*. O(T).
+    Allocates two T-word arrays: the detectors call it only to grow their
+    {!Cow_slab}, and recycle lists with {!copy_into} otherwise. *)
+
+val copy_into : src:t -> dst:t -> unit
+(** Overwrites [dst] with [src]'s values and order, allocating nothing.
+    O(T) plain stores: no write barrier, since the arrays hold only ints.
+    Raises [Invalid_argument] if the sizes differ. *)
 
 val iter_prefix : t -> int -> (int -> int -> unit) -> unit
 (** [iter_prefix o d f] applies [f tid time] to the first [min d T] nodes,

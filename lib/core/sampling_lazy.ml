@@ -4,13 +4,16 @@ module Vc = Vector_clock
 type t = {
   csize : int;
   sample : Sampler.instance;
-  mutable clocks : Vc.t array;   (* C_t; own component externalized in [own] *)
+  slab : Vc.t Cow_slab.t;        (* every clock a thread or lock holds *)
+  tslot : int array;             (* thread -> slab slot of C_t *)
+  clocks : Vc.t array;           (* C_t, the clock in [tslot]; own component
+                                    externalized in [own] *)
   own : int array;
   uclocks : Vc.t array;          (* U_t *)
   epochs : int array;            (* e_t *)
   pending : bool array;
   shared : bool array;
-  lock_vc : Vc.t option array;   (* shared reference *)
+  lock_slot : int array;         (* slab slot shared by reference, -1 = none *)
   lock_own : int array;
   lock_lr : int array;
   lock_u : int array;
@@ -24,16 +27,22 @@ let name = "sl"
 let create (cfg : Detector.config) =
   let n = cfg.Detector.clock_size in
   let nlocks = Stdlib.max 1 cfg.Detector.nlocks in
+  let slab =
+    Cow_slab.create ~copy:Vc.copy ~copy_into:(fun ~src ~dst -> Vc.copy_into ~into:dst src)
+  in
+  let clocks = Array.init n (fun _ -> Vc.create n) in
   {
     csize = n;
     sample = Sampler.fresh cfg.Detector.sampler;
-    clocks = Array.init n (fun _ -> Vc.create n);
+    slab;
+    tslot = Array.map (Cow_slab.add slab) clocks;
+    clocks;
     own = Array.make n 0;
     uclocks = Array.init n (fun _ -> Vc.create n);
     epochs = Array.make n 1;
     pending = Array.make n false;
     shared = Array.make n false;
-    lock_vc = Array.make nlocks None;
+    lock_slot = Array.make nlocks (-1);
     lock_own = Array.make nlocks 0;
     lock_lr = Array.make nlocks (-1);
     lock_u = Array.make nlocks 0;
@@ -47,9 +56,10 @@ let declare d index tid x ~with_write ~with_read ~prior =
   let prior = if prior < 0 then None else Some prior in
   d.races <- Race.make ~index ~thread:tid ~loc:x ~with_write ~with_read ?prior () :: d.races
 
+(* Lazy copy into a recycled slab slot, exactly as SO's [touch_olist]. *)
 let touch_clock d t =
   if d.shared.(t) then begin
-    d.clocks.(t) <- Vc.copy d.clocks.(t);
+    d.clocks.(t) <- Cow_slab.unshare d.slab d.tslot t;
     d.shared.(t) <- false;
     d.metrics.Metrics.deep_copies <- d.metrics.Metrics.deep_copies + 1;
     d.metrics.Metrics.vc_full_ops <- d.metrics.Metrics.vc_full_ops + 1
@@ -123,7 +133,7 @@ let handle d index (e : E.t) =
         Vc.set ut lr d.lock_u.(l);
         if lr <> t then absorb_entry d t lr d.lock_own.(l);
         (* no recency structure: traverse the whole vector *)
-        let lvc = Option.get d.lock_vc.(l) in
+        let lvc = Cow_slab.get d.slab d.lock_slot.(l) in
         m.Metrics.vc_full_ops <- m.Metrics.vc_full_ops + 1;
         m.Metrics.entries_traversed <- m.Metrics.entries_traversed + d.csize;
         for t' = 0 to d.csize - 1 do
@@ -133,7 +143,7 @@ let handle d index (e : E.t) =
   | E.Release l | E.Release_store l ->
     m.Metrics.releases <- m.Metrics.releases + 1;
     flush_pending d t;
-    d.lock_vc.(l) <- Some d.clocks.(t);
+    Cow_slab.hold d.slab d.lock_slot l d.tslot.(t);
     d.lock_own.(l) <- d.own.(t);
     d.lock_lr.(l) <- t;
     d.lock_u.(l) <- Vc.get d.uclocks.(t) t;
@@ -181,65 +191,7 @@ let note_sampled d t = d.pending.(t) <- true
 
 (* Like the ordered-list engine, releases publish a *reference* to the
    releasing thread's clock, and the [shared] flags only make sense if the
-   restored detector reproduces that physical sharing.  Lock entries are
-   encoded as references to a thread clock or an earlier lock's entry and
-   inlined only when they alias neither. *)
-let tag_none = 0
-let tag_thread = 1
-let tag_lock = 2
-let tag_inline = 3
-
-let encode_lock_vcs enc d =
-  Array.iteri
-    (fun l vc ->
-      match vc with
-      | None -> Snap.Enc.int enc tag_none
-      | Some vc -> (
-        let rec thread_alias t =
-          if t >= Array.length d.clocks then None
-          else if d.clocks.(t) == vc then Some t
-          else thread_alias (t + 1)
-        in
-        let rec lock_alias l' =
-          if l' >= l then None
-          else
-            match d.lock_vc.(l') with
-            | Some vc' when vc' == vc -> Some l'
-            | _ -> lock_alias (l' + 1)
-        in
-        match thread_alias 0 with
-        | Some t ->
-          Snap.Enc.int enc tag_thread;
-          Snap.Enc.int enc t
-        | None -> (
-          match lock_alias 0 with
-          | Some l' ->
-            Snap.Enc.int enc tag_lock;
-            Snap.Enc.int enc l'
-          | None ->
-            Snap.Enc.int enc tag_inline;
-            Vc.encode enc vc)))
-    d.lock_vc
-
-let decode_lock_vcs dec d ~size =
-  for l = 0 to Array.length d.lock_vc - 1 do
-    d.lock_vc.(l) <-
-      (match Snap.Dec.int dec with
-      | t when t = tag_none -> None
-      | t when t = tag_thread ->
-        let tid = Snap.Dec.int dec in
-        Snap.expect (tid >= 0 && tid < Array.length d.clocks) "lock clock thread out of range";
-        Some d.clocks.(tid)
-      | t when t = tag_lock ->
-        let l' = Snap.Dec.int dec in
-        Snap.expect (l' >= 0 && l' < l) "lock clock back-reference out of range";
-        (match d.lock_vc.(l') with
-        | Some _ as shared -> shared
-        | None -> raise (Snap.Corrupt "lock clock back-reference to empty slot"))
-      | t when t = tag_inline -> Some (Vc.decode dec ~size)
-      | t -> raise (Snap.Corrupt (Printf.sprintf "bad lock clock tag %d" t)))
-  done
-
+   restored detector reproduces that sharing ([Cow_slab.encode_lock_refs]). *)
 let snapshot d =
   let enc = Snap.Enc.create () in
   d.sample.Sampler.save enc;
@@ -249,7 +201,7 @@ let snapshot d =
   Snap.Enc.int_array enc d.epochs;
   Snap.Enc.bool_array enc d.pending;
   Snap.Enc.bool_array enc d.shared;
-  encode_lock_vcs enc d;
+  Cow_slab.encode_lock_refs enc d.slab ~threads:d.tslot ~locks:d.lock_slot Vc.encode;
   Snap.Enc.int_array enc d.lock_own;
   Snap.Enc.int_array enc d.lock_lr;
   Snap.Enc.int_array enc d.lock_u;
@@ -264,7 +216,7 @@ let restore (cfg : Detector.config) s =
   let n = d.csize in
   d.sample.Sampler.load dec;
   for t = 0 to n - 1 do
-    d.clocks.(t) <- Vc.decode dec ~size:n
+    Vc.copy_into ~into:d.clocks.(t) (Vc.decode dec ~size:n)
   done;
   let own = Snap.Dec.int_array_n dec n in
   Array.blit own 0 d.own 0 n;
@@ -277,7 +229,7 @@ let restore (cfg : Detector.config) s =
   Array.blit pending 0 d.pending 0 n;
   let shared = Snap.Dec.bool_array_n dec n in
   Array.blit shared 0 d.shared 0 n;
-  decode_lock_vcs dec d ~size:n;
+  Cow_slab.decode_lock_refs dec d.slab ~threads:d.tslot ~locks:d.lock_slot (Vc.decode ~size:n);
   let nlocks = Array.length d.lock_own in
   let lock_own = Snap.Dec.int_array_n dec nlocks in
   Array.blit lock_own 0 d.lock_own 0 nlocks;
@@ -294,3 +246,10 @@ let restore (cfg : Detector.config) s =
   d.races <- Race.decode_list dec;
   Snap.Dec.finish dec;
   { d with history; metrics }
+
+let free_slots d = Cow_slab.free_slots d.slab
+
+let check_invariants d =
+  Cow_slab.check d.slab ~holders:[ d.tslot; d.lock_slot ]
+  && Array.for_all2 (fun slot c -> Cow_slab.get d.slab slot == c) d.tslot d.clocks
+  && Array.for_all2 (fun slot lr -> slot >= 0 = (lr >= 0)) d.lock_slot d.lock_lr

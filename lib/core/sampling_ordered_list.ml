@@ -5,15 +5,18 @@ module Ol = Ordered_list
 type t = {
   nthreads : int;
   sample : Sampler.instance;
-  mutable olists : Ol.t array;
-      (* O_t; the thread's *own* component is externalized into [own] (the
-         local-epoch optimization) and the own node's value is stale *)
+  slab : Ol.t Cow_slab.t;        (* every list a thread or lock holds *)
+  tslot : int array;             (* thread -> slab slot of O_t *)
+  olists : Ol.t array;
+      (* O_t, the list in [tslot]; the thread's *own* component is
+         externalized into [own] (the local-epoch optimization) and the own
+         node's value is stale *)
   own : int array;               (* flushed own component, C_t(t) *)
   uclocks : Vc.t array;          (* U_t *)
   epochs : int array;            (* e_t *)
   pending : bool array;
   shared : bool array;           (* shared_t: some lock references O_t *)
-  lock_ol : Ol.t option array;   (* O_ℓ: shared reference *)
+  lock_slot : int array;         (* O_ℓ: slab slot shared by reference, -1 = none *)
   lock_own : int array;          (* releaser's own component at release time *)
   lock_lr : int array;           (* LR_ℓ, -1 = NIL *)
   lock_u : int array;            (* U_ℓ scalar *)
@@ -27,16 +30,20 @@ let name = "so"
 let create (cfg : Detector.config) =
   let n = cfg.Detector.clock_size in
   let nlocks = Stdlib.max 1 cfg.Detector.nlocks in
+  let slab = Cow_slab.create ~copy:Ol.deep_copy ~copy_into:Ol.copy_into in
+  let olists = Array.init n (fun _ -> Ol.create n) in
   {
     nthreads = n;
     sample = Sampler.fresh cfg.Detector.sampler;
-    olists = Array.init n (fun _ -> Ol.create n);
+    slab;
+    tslot = Array.map (Cow_slab.add slab) olists;
+    olists;
     own = Array.make n 0;
     uclocks = Array.init n (fun _ -> Vc.create n);
     epochs = Array.make n 1;
     pending = Array.make n false;
     shared = Array.make n false;
-    lock_ol = Array.make nlocks None;
+    lock_slot = Array.make nlocks (-1);
     lock_own = Array.make nlocks 0;
     lock_lr = Array.make nlocks (-1);
     lock_u = Array.make nlocks 0;
@@ -50,10 +57,12 @@ let declare d index tid x ~with_write ~with_read ~prior =
   let prior = if prior < 0 then None else Some prior in
   d.races <- Race.make ~index ~thread:tid ~loc:x ~with_write ~with_read ?prior () :: d.races
 
-(* Ensure thread [t] owns its list before mutating it (lazy copy). *)
+(* Ensure thread [t] owns its list before mutating it (lazy copy).  The
+   copy lands in a recycled slab slot whenever one is free; it is still the
+   paper's deep copy and is counted as one. *)
 let touch_olist d t =
   if d.shared.(t) then begin
-    d.olists.(t) <- Ol.deep_copy d.olists.(t);
+    d.olists.(t) <- Cow_slab.unshare d.slab d.tslot t;
     d.shared.(t) <- false;
     d.metrics.Metrics.deep_copies <- d.metrics.Metrics.deep_copies + 1;
     d.metrics.Metrics.vc_full_ops <- d.metrics.Metrics.vc_full_ops + 1
@@ -131,7 +140,7 @@ let handle d index (e : E.t) =
         Vc.set ut lr d.lock_u.(l);
         (* the releaser's own component travels as a scalar *)
         if lr <> t then absorb_entry d t lr d.lock_own.(l);
-        let ol = Option.get d.lock_ol.(l) in
+        let ol = Cow_slab.get d.slab d.lock_slot.(l) in
         let traversed = ref 0 in
         Ol.iter_prefix ol delta (fun t' v ->
             incr traversed;
@@ -144,7 +153,7 @@ let handle d index (e : E.t) =
   | E.Release l | E.Release_store l ->
     m.Metrics.releases <- m.Metrics.releases + 1;
     flush_pending d t;
-    d.lock_ol.(l) <- Some d.olists.(t);
+    Cow_slab.hold d.slab d.lock_slot l d.tslot.(t);
     d.lock_own.(l) <- d.own.(t);
     d.lock_lr.(l) <- t;
     d.lock_u.(l) <- Vc.get d.uclocks.(t) t;
@@ -191,67 +200,9 @@ let note_sampled d t = d.pending.(t) <- true
 (* Snapshots must reproduce Alg 4's lazy-copy sharing structure, not just
    the list values: a release stores a *reference* to the releasing
    thread's list, and several locks may alias one list (or an old version a
-   thread has since deep-copied away from).  Each lock's entry is encoded
-   as a reference — to a thread's current list, or to an earlier lock's
-   entry — and only as an inline list when it aliases neither, so restore
-   rebuilds the exact physical sharing and the [shared] flags keep meaning
-   what they meant. *)
-let tag_none = 0
-let tag_thread = 1
-let tag_lock = 2
-let tag_inline = 3
-
-let encode_lock_lists enc d =
-  Array.iteri
-    (fun l ol ->
-      match ol with
-      | None -> Snap.Enc.int enc tag_none
-      | Some ol -> (
-        let rec thread_alias t =
-          if t >= Array.length d.olists then None
-          else if d.olists.(t) == ol then Some t
-          else thread_alias (t + 1)
-        in
-        let rec lock_alias l' =
-          if l' >= l then None
-          else
-            match d.lock_ol.(l') with
-            | Some ol' when ol' == ol -> Some l'
-            | _ -> lock_alias (l' + 1)
-        in
-        match thread_alias 0 with
-        | Some t ->
-          Snap.Enc.int enc tag_thread;
-          Snap.Enc.int enc t
-        | None -> (
-          match lock_alias 0 with
-          | Some l' ->
-            Snap.Enc.int enc tag_lock;
-            Snap.Enc.int enc l'
-          | None ->
-            Snap.Enc.int enc tag_inline;
-            Ol.encode enc ol)))
-    d.lock_ol
-
-let decode_lock_lists dec d ~size =
-  for l = 0 to Array.length d.lock_ol - 1 do
-    d.lock_ol.(l) <-
-      (match Snap.Dec.int dec with
-      | t when t = tag_none -> None
-      | t when t = tag_thread ->
-        let tid = Snap.Dec.int dec in
-        Snap.expect (tid >= 0 && tid < Array.length d.olists) "lock list thread out of range";
-        Some d.olists.(tid)
-      | t when t = tag_lock ->
-        let l' = Snap.Dec.int dec in
-        Snap.expect (l' >= 0 && l' < l) "lock list back-reference out of range";
-        (match d.lock_ol.(l') with
-        | Some _ as shared -> shared
-        | None -> raise (Snap.Corrupt "lock list back-reference to empty slot"))
-      | t when t = tag_inline -> Some (Ol.decode dec ~size)
-      | t -> raise (Snap.Corrupt (Printf.sprintf "bad lock list tag %d" t)))
-  done
-
+   thread has since deep-copied away from).  [Cow_slab.encode_lock_refs]
+   writes each lock's list as a reference where it can, so restore rebuilds
+   the exact sharing and the [shared] flags keep meaning what they meant. *)
 let snapshot d =
   let enc = Snap.Enc.create () in
   d.sample.Sampler.save enc;
@@ -261,7 +212,7 @@ let snapshot d =
   Snap.Enc.int_array enc d.epochs;
   Snap.Enc.bool_array enc d.pending;
   Snap.Enc.bool_array enc d.shared;
-  encode_lock_lists enc d;
+  Cow_slab.encode_lock_refs enc d.slab ~threads:d.tslot ~locks:d.lock_slot Ol.encode;
   Snap.Enc.int_array enc d.lock_own;
   Snap.Enc.int_array enc d.lock_lr;
   Snap.Enc.int_array enc d.lock_u;
@@ -276,7 +227,7 @@ let restore (cfg : Detector.config) s =
   let n = d.nthreads in
   d.sample.Sampler.load dec;
   for t = 0 to n - 1 do
-    d.olists.(t) <- Ol.decode dec ~size:n
+    Ol.copy_into ~src:(Ol.decode dec ~size:n) ~dst:d.olists.(t)
   done;
   let own = Snap.Dec.int_array_n dec n in
   Array.blit own 0 d.own 0 n;
@@ -289,7 +240,7 @@ let restore (cfg : Detector.config) s =
   Array.blit pending 0 d.pending 0 n;
   let shared = Snap.Dec.bool_array_n dec n in
   Array.blit shared 0 d.shared 0 n;
-  decode_lock_lists dec d ~size:n;
+  Cow_slab.decode_lock_refs dec d.slab ~threads:d.tslot ~locks:d.lock_slot (Ol.decode ~size:n);
   let nlocks = Array.length d.lock_own in
   let lock_own = Snap.Dec.int_array_n dec nlocks in
   Array.blit lock_own 0 d.lock_own 0 nlocks;
@@ -306,3 +257,10 @@ let restore (cfg : Detector.config) s =
   d.races <- Race.decode_list dec;
   Snap.Dec.finish dec;
   { d with history; metrics }
+
+let free_slots d = Cow_slab.free_slots d.slab
+
+let check_invariants d =
+  Cow_slab.check d.slab ~holders:[ d.tslot; d.lock_slot ]
+  && Array.for_all2 (fun slot ol -> Cow_slab.get d.slab slot == ol) d.tslot d.olists
+  && Array.for_all2 (fun slot lr -> slot >= 0 = (lr >= 0)) d.lock_slot d.lock_lr

@@ -15,6 +15,20 @@
     and move-to-front keeps exactly those in the list prefix.
 
     Generic (non-nested) acquire/release pairs — release-stores — need no
-    special case: lock state is a snapshot reference, never joined into. *)
+    special case: lock state is a snapshot reference, never joined into.
+
+    Threads and locks hold their lists as slots of a {!Cow_slab}, so the
+    lazy deep copy overwrites a list nobody holds any more instead of
+    allocating a fresh one: in steady state the engine allocates nothing
+    per copy, and it never keeps more than [clock_size + nlocks + 1] lists.
+    Recycling changes neither the counters nor the snapshot bytes. *)
 
 include Detector.S
+
+val free_slots : t -> int
+(** Slab slots currently free for recycling.  For tests. *)
+
+val check_invariants : t -> bool
+(** Recounts the slab's holders from the thread and lock slots and checks
+    them against the maintained counts, the free stack, and the
+    [clock_size + nlocks + 1] bound.  For tests. *)

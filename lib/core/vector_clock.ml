@@ -25,7 +25,16 @@ let join_count ~into src =
   done;
   !changed
 
-let copy_into ~into src = Array.blit src 0 into 0 (Array.length src)
+(* Plain stores, not [Array.blit]: a blit into a major-heap array runs the
+   write barrier on every word, although a clock holds only ints.  The
+   annotations matter: unannotated, the loop is polymorphic and each store
+   calls [caml_modify] after all. *)
+let copy_into ~(into : t) (src : t) =
+  let n = Array.length src in
+  if Array.length into <> n then invalid_arg "Vector_clock.copy_into: size mismatch";
+  for i = 0 to n - 1 do
+    Array.unsafe_set into i (Array.unsafe_get src i)
+  done
 let blit_into (c : t) dst = Array.blit c 0 dst 0 (Array.length c)
 let copy = Array.copy
 

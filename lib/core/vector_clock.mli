@@ -25,7 +25,9 @@ val join_count : into:t -> t -> int
     quantity the freshness timestamp accumulates (Alg 3, line 12). O(T). *)
 
 val copy_into : into:t -> t -> unit
-(** [copy_into ~into src] overwrites [into] with [src]. O(T). *)
+(** [copy_into ~into src] overwrites [into] with [src]. O(T) plain stores,
+    so no write barrier even when [into] is long-lived.  Raises
+    [Invalid_argument] if the sizes differ. *)
 
 val blit_into : t -> int array -> unit
 (** [blit_into c dst] copies every entry of [c] into the prefix of [dst]

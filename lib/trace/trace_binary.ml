@@ -14,12 +14,24 @@ let put_varint buf n =
   in
   loop n
 
-exception Truncated
+(* Raised by the byte and varint readers with the decoder's error message;
+   every entry point turns it into [Error msg]. *)
+exception Malformed of string
+
+let truncated () = raise (Malformed "truncated input")
+
+(* A varint is 7 value bits per byte, low group first.  An OCaml int has 62
+   non-negative value bits, so the ninth group (shift 56) may use only its
+   low 6 bits and must end the varint: anything more would set the sign
+   bit or shift bits out, and a negative id would slip past the decoders'
+   [>=] range checks. *)
+let last_shift = 56
+let varint_overflow () = raise (Malformed "varint overflows int")
 
 type cursor = { data : bytes; mutable pos : int }
 
 let get_byte c =
-  if c.pos >= Bytes.length c.data then raise Truncated
+  if c.pos >= Bytes.length c.data then truncated ()
   else begin
     let b = Char.code (Bytes.get c.data c.pos) in
     c.pos <- c.pos + 1;
@@ -28,9 +40,9 @@ let get_byte c =
 
 let get_varint c =
   let rec loop shift acc =
-    if shift > 62 then raise Truncated
+    let b = get_byte c in
+    if shift = last_shift && b > 0x3F then varint_overflow ()
     else begin
-      let b = get_byte c in
       let acc = acc lor ((b land 0x7F) lsl shift) in
       if b land 0x80 = 0 then acc else loop (shift + 7) acc
     end
@@ -144,7 +156,7 @@ let check_header data pos (h : header) =
 
 let read_header_cursor c =
   let m =
-    if Bytes.length c.data < String.length magic then raise Truncated
+    if Bytes.length c.data < String.length magic then truncated ()
     else Bytes.sub_string c.data 0 (String.length magic)
   in
   c.pos <- String.length magic;
@@ -195,7 +207,7 @@ let refill s =
     n > 0
 
 let src_byte s =
-  if s.pos >= s.len && not (refill s) then raise Truncated
+  if s.pos >= s.len && not (refill s) then truncated ()
   else begin
     let b = Char.code (Bytes.get s.buf s.pos) in
     s.pos <- s.pos + 1;
@@ -204,9 +216,9 @@ let src_byte s =
 
 let src_varint s =
   let rec loop shift acc =
-    if shift > 62 then raise Truncated
+    let b = src_byte s in
+    if shift = last_shift && b > 0x3F then varint_overflow ()
     else begin
-      let b = src_byte s in
       let acc = acc lor ((b land 0x7F) lsl shift) in
       if b land 0x80 = 0 then acc else loop (shift + 7) acc
     end
@@ -265,7 +277,7 @@ let open_channel ?(chunk_size = default_chunk) ic =
         end
       end
     end
-  with Truncated -> Error "truncated input"
+  with Malformed msg -> Error msg
 
 let header r = r.rheader
 
@@ -307,7 +319,7 @@ let next r =
       | Ok e ->
         r.next_index <- r.next_index + 1;
         Ok (Some e)
-    with Truncated -> Error "truncated input"
+    with Malformed msg -> Error msg
   end
 
 let open_bytes data =
@@ -325,7 +337,7 @@ let open_bytes data =
             rheader = h;
             next_index = 0;
           })
-  with Truncated -> Error "truncated input"
+  with Malformed msg -> Error msg
 
 let open_string s = open_bytes (Bytes.unsafe_of_string s)
 
@@ -394,7 +406,7 @@ let read_batch r b =
       b.n <- n;
       Ok n
     | Error _ as err -> err
-  with Truncated -> Error "truncated input"
+  with Malformed msg -> Error msg
 
 let op_of_tag_exn tag payload : Event.op =
   match tag with

@@ -9,6 +9,9 @@
      falls back to full replay);
    - Ordered_list deep copies and snapshot roundtrips preserve the recency
      order that Alg 4's d-prefix traversals depend on;
+   - SO's and SL's lazy-copy slab keeps exact holder counts after every
+     event, and a snapshot taken while it holds free slots resumes to the
+     uninterrupted run's report, metrics and final snapshot bytes;
    - the Metrics record's serialization arity is guarded against field drift;
    - Online monitors roundtrip through snapshot/restore, validator included. *)
 
@@ -27,6 +30,7 @@ module Ol = Ft_core.Ordered_list
 module Online = Ft_core.Online
 module Checkpoint = Ft_snapshot.Checkpoint
 module Runner = Ft_snapshot.Runner
+module Serve = Ft_shard.Serve
 
 let engines = Engine.all @ [ Engine.Eraser ]
 
@@ -157,6 +161,92 @@ let prop_prefix_equivalence s =
 let prefix_equivalence_test =
   QCheck.Test.make ~name:"snapshot+suffix ≡ uninterrupted (all engines)" ~count:40
     scenario_arb prop_prefix_equivalence
+
+(* --- lazy-copy slab recycling (property) ----------------------------------- *)
+
+module type RECYCLING = sig
+  include Detector.S
+
+  val free_slots : t -> int
+  val check_invariants : t -> bool
+end
+
+let recycling_engines : (string * (module RECYCLING)) list =
+  [ ("so", (module Ft_core.Sampling_ordered_list)); ("sl", (module Ft_core.Sampling_lazy)) ]
+
+(* lock-heavy traces, so that lists are released, re-released and copied
+   away from often enough to leave free slots *)
+let recycling_gen =
+  QCheck.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* nthreads = int_range 2 6 in
+    let* nlocks = int_range 1 3 in
+    let* length = int_range 40 240 in
+    let* pad = int_bound 3 in
+    let* pick = int_bound 1_000 in
+    let params =
+      { Trace_gen.nthreads; nlocks; nlocs = 4; length; atomics = true; forkjoin = true }
+    in
+    return (seed, params, pad, pick))
+
+let print_recycling (seed, p, pad, pick) =
+  Printf.sprintf "seed=%d threads=%d locks=%d len=%d pad=%d pick=%d" seed p.Trace_gen.nthreads
+    p.Trace_gen.nlocks p.Trace_gen.length pad pick
+
+let prop_recycling (seed, params, pad, pick) =
+  let trace = Trace_gen.random (Prng.create ~seed) params in
+  let n = Trace.length trace in
+  let config () =
+    {
+      Detector.nthreads = trace.Trace.nthreads;
+      nlocks = trace.Trace.nlocks;
+      nlocs = trace.Trace.nlocs;
+      clock_size = trace.Trace.nthreads + pad;
+      sampler = Sampler.bernoulli ~rate:0.5 ~seed;
+    }
+  in
+  List.for_all
+    (fun (name, (module D : RECYCLING)) ->
+      let step d i =
+        D.handle d i (Trace.get trace i);
+        if not (D.check_invariants d) then
+          QCheck.Test.fail_reportf "%s: slab invariants broken after event %d" name i
+      in
+      let outcome d =
+        let r = D.result d in
+        (Serve.report_text ~events:n r, Metrics.to_json r.Detector.metrics, D.snapshot d)
+      in
+      let d = D.create (config ()) in
+      let cuts = ref [] in
+      for i = 0 to n - 1 do
+        step d i;
+        if D.free_slots d > 0 then cuts := (i + 1) :: !cuts
+      done;
+      QCheck.assume (!cuts <> []);
+      let straight = outcome d in
+      let cut = List.nth !cuts (pick mod List.length !cuts) in
+      let d = D.create (config ()) in
+      for i = 0 to cut - 1 do
+        step d i
+      done;
+      let snap = D.snapshot d in
+      let d' = D.restore (config ()) snap in
+      if not (D.check_invariants d' && String.equal (D.snapshot d') snap) then
+        QCheck.Test.fail_reportf "%s: restore at cut %d is not exact" name cut;
+      for i = cut to n - 1 do
+        step d' i
+      done;
+      if outcome d' <> straight then
+        QCheck.Test.fail_reportf "%s: resumed run diverges after cut %d (%d free slots)" name
+          cut (D.free_slots d);
+      true)
+    recycling_engines
+
+let recycling_test =
+  QCheck.Test.make ~name:"slab counts exact; resume with free slots ≡ straight (so, sl)"
+    ~count:60
+    (QCheck.make ~print:print_recycling recycling_gen)
+    prop_recycling
 
 (* --- .ftc loader fuzzing -------------------------------------------------- *)
 
@@ -519,6 +609,7 @@ let () =
   Alcotest.run "checkpoint"
     [
       ("prefix equivalence", [ QCheck_alcotest.to_alcotest prefix_equivalence_test ]);
+      ("lazy-copy slab", [ QCheck_alcotest.to_alcotest recycling_test ]);
       ( "ftc fuzzing",
         [
           Alcotest.test_case "bit flips all rejected" `Quick test_fuzz_bit_flips;

@@ -12,6 +12,8 @@
      cancel out;
    - the SoA batch decoder: equality with the per-event reader, exact
      per-event byte offsets (the --resume seek contract), hostile input;
+   - the allocation bound of SO's and SL's lazy copy: minor-heap words grow
+     with the samples and the universe, not with the deep copies;
    - the byte-identity grid: the rebuilt engines vs the seed engines
      vendored in Ref_engines, across engines × samplers × shard counts —
      races, reports, and every counter except the purely additive
@@ -365,7 +367,58 @@ let test_batch_hostile_input () =
      2-bytes-per-event budget but truncates the decode *)
   let data = craft ~nthreads:2 ~nlocks:1 ~nlocs:256 [ (0, 200) ] in
   expect_error "truncated event" "truncated input"
-    (Bytes.sub data 0 (Bytes.length data - 1))
+    (Bytes.sub data 0 (Bytes.length data - 1));
+  (* a 9-byte payload varint whose last group sets bit 62, the int sign bit:
+     unchecked, 2^62 decodes negative and slips past the [>=] range checks *)
+  let one_event head payload =
+    Bytes.of_string ("FTRB\x01\x01\x01\x01\x01" ^ String.make 1 (Char.chr head) ^ payload)
+  in
+  let sign_bit = String.make 8 '\x80' ^ "\x40" in
+  expect_error "read of location 2^62" "varint overflows int" (one_event 0 sign_bit);
+  expect_error "acquire of lock 2^62" "varint overflows int" (one_event 2 sign_bit);
+  expect_error "10-byte varint" "varint overflows int"
+    (one_event 2 (String.make 9 '\x80' ^ "\x00"));
+  (* max_int, the largest 9-byte varint, still decodes and meets the range
+     check *)
+  expect_error "acquire of lock max_int" "lock id out of range"
+    (one_event 2 (String.make 8 '\xff' ^ "\x3f"));
+  (* the streaming reader shares the varint decoder *)
+  match Tb.open_bytes (one_event 2 sign_bit) with
+  | Error msg -> Alcotest.failf "header refused: %s" msg
+  | Ok r -> (
+    match Tb.next r with
+    | Ok _ -> Alcotest.fail "next accepted lock 2^62"
+    | Error msg -> Alcotest.(check string) "next on lock 2^62" "varint overflows int" msg)
+
+(* --- lazy-copy allocation bound ---------------------------------------------- *)
+
+(* Minor words are a pure function of the code and the trace, so this holds
+   on any host.  With T = 256-entry clocks, |S| sampled accesses, L locks
+   and N events, allocation may grow by a few T-word clocks per sample and
+   per lock or thread, plus a few words per event — but not by a clock per
+   deep copy (14 k of them here, ~7.4 M words if each allocated its two
+   257-word arrays). *)
+let tpcc_200k =
+  lazy
+    (Ft_workloads.Db_sim.generate
+       (Option.get (Ft_workloads.Db_sim.profile "tpcc"))
+       ~seed:7 ~target_events:200_000)
+
+let test_lazy_copy_allocation_bound id () =
+  let trace = Lazy.force tpcc_200k in
+  let t = 256 in
+  let w0 = Gc.minor_words () in
+  let r = Engine.run id ~sampler:(Sampler.bernoulli ~rate:0.03 ~seed:1) ~clock_size:t trace in
+  let words = Gc.minor_words () -. w0 in
+  let m = r.Detector.metrics in
+  let s = m.Metrics.sampled_accesses and l = trace.Trace.nlocks and n = Trace.length trace in
+  let bound = (3 * (t + 1) * (s + t + l)) + (8 * n) in
+  if m.Metrics.deep_copies < 10 * (t + l) then
+    Alcotest.failf "only %d deep copies: the trace no longer exercises the lazy copy"
+      m.Metrics.deep_copies;
+  if words > float_of_int bound then
+    Alcotest.failf "%s allocated %.0f minor words for %d deep copies (bound %d)"
+      (Engine.name id) words m.Metrics.deep_copies bound
 
 (* --- byte-identity grid: flat engines vs vendored seed engines ------------- *)
 
@@ -556,6 +609,13 @@ let () =
             test_batch_channel_refill;
           Alcotest.test_case "hostile input rejected with exact errors" `Quick
             test_batch_hostile_input;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "so: lazy copies recycle (200 k tpcc, T = 256)" `Quick
+            (test_lazy_copy_allocation_bound Engine.So);
+          Alcotest.test_case "sl: lazy copies recycle (200 k tpcc, T = 256)" `Quick
+            (test_lazy_copy_allocation_bound Engine.Sl);
         ] );
       ( "byte_identity",
         [

@@ -282,6 +282,49 @@ let test_cbatch_ids_out_of_range shards () =
   | _, Unix.WEXITED 0 -> ()
   | _ -> Alcotest.fail "daemon did not exit cleanly after bad ids"
 
+(* A BATCH whose payload varint reaches the int sign bit is bad input: the
+   decoder refuses it with the exact error before any engine sees a
+   negative lock id (which would fail the in-line K = 1 shard and stop the
+   daemon), and the session carries on. *)
+let test_hostile_varint_batch () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.So and sampler = Sampler.all in
+  let trace = sample_trace ~seed:7 ~length:400 in
+  let expected = expected_report ~engine ~sampler trace in
+  let socket = Filename.concat dir "serve.sock" in
+  let pid = start_server ~engine ~shards:1 ~sampler socket in
+  Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+  let fd = Serve.connect (Serve.Unix_path socket) in
+  Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+  let batches = Array.of_list (slices trace ~batch:200) in
+  let base0, sub0 = batches.(0) in
+  ignore (get_ok "first batch" (Serve.send_batch fd ~base:base0 sub0));
+  (* same universe (4 threads, 3 locks, 10 locations), one event: an acquire
+     (tag 2, thread 0) of lock 2^62 *)
+  let payload = "FTRB\x01\x04\x03\x0a\x01\x02" ^ String.make 8 '\x80' ^ "\x40" in
+  let msg = Printf.sprintf "BATCH 200 %d\n%s" (String.length payload) payload in
+  ignore (Unix.write_substring fd msg 0 (String.length msg));
+  let line = Buffer.create 48 and one = Bytes.create 1 in
+  let rec read_line () =
+    if Unix.read fd one 0 1 = 0 then Alcotest.fail "server closed on hostile batch"
+    else if Bytes.get one 0 <> '\n' then begin
+      Buffer.add_char line (Bytes.get one 0);
+      read_line ()
+    end
+  in
+  read_line ();
+  Alcotest.(check string) "hostile batch answered" "ERR bad batch: varint overflows int"
+    (Buffer.contents line);
+  Array.iteri
+    (fun i (base, sub) -> if i > 0 then ignore (get_ok "rest" (Serve.send_batch fd ~base sub)))
+    batches;
+  let report = get_ok "fetch_report" (Serve.fetch_report fd) in
+  Alcotest.(check string) "session survived the hostile batch" expected report;
+  get_ok "shutdown" (Serve.shutdown fd);
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "daemon did not exit cleanly after a hostile batch"
+
 (* --- crash mid-stream, resume from .ftc checkpoints ---------------------------- *)
 
 let test_crash_and_resume () =
@@ -654,6 +697,8 @@ let () =
             (test_cbatch_ids_out_of_range 1);
           Alcotest.test_case "CBATCH ids out of range, K=3" `Quick
             (test_cbatch_ids_out_of_range 3);
+          Alcotest.test_case "hostile varint BATCH answers ERR, daemon serves on" `Quick
+            test_hostile_varint_batch;
           Alcotest.test_case "large single batch streams through" `Quick
             test_large_single_batch;
           Alcotest.test_case "live listener refuses a second server" `Quick
