@@ -224,27 +224,50 @@ let races_rev d = d.races
 (* Accesses never touch thread clocks here, so sharding needs no replay. *)
 let note_sampled (_ : t) (_ : int) = ()
 
-(* Shared-mode entries are written in ascending location order so equal
-   detector states encode to equal bytes regardless of the table's probe
-   history. *)
+(* Per-location state goes through one keyed section: a location never
+   accessed costs nothing.  A shared-mode location ([repoch] =
+   [shared_marker]) carries its read clock and indices inline; the keyed
+   section's ascending order makes equal detector states encode to equal
+   bytes regardless of the table's probe history. *)
+let encode_locations enc d =
+  Snap.Enc.keyed enc ~n:(Array.length d.writes)
+    ~is_default:(fun x ->
+      Epoch.equal d.writes.(x) Epoch.none
+      && d.w_index.(x) = -1
+      && Epoch.equal d.repoch.(x) Epoch.none
+      && d.rindex.(x) = -1)
+    (fun x ->
+      Epoch.encode enc d.writes.(x);
+      Snap.Enc.int enc d.w_index.(x);
+      Epoch.encode enc d.repoch.(x);
+      Snap.Enc.int enc d.rindex.(x);
+      if Epoch.equal d.repoch.(x) shared_marker then begin
+        let s = Flat_table.find d.rshared x in
+        Vc.encode enc d.rvc_pool.(s);
+        Snap.Enc.int_array enc d.rvc_index_pool.(s)
+      end)
+
+let decode_locations dec d =
+  let n = d.nthreads in
+  Snap.Dec.keyed dec ~n:(Array.length d.writes) (fun x ->
+      d.writes.(x) <- Epoch.decode dec;
+      d.w_index.(x) <- Snap.Dec.int dec;
+      d.repoch.(x) <- Epoch.decode dec;
+      d.rindex.(x) <- Snap.Dec.int dec;
+      if Epoch.equal d.repoch.(x) shared_marker then begin
+        let slot = alloc_slot d in
+        let rv = Vc.decode dec ~size:n in
+        Vc.copy_into ~into:d.rvc_pool.(slot) rv;
+        let ri = Snap.Dec.int_array_n dec n in
+        Array.blit ri 0 d.rvc_index_pool.(slot) 0 n;
+        Flat_table.set d.rshared x slot
+      end)
+
 let snapshot d =
   let enc = Snap.Enc.create () in
   Array.iter (Vc.encode enc) d.clocks;
   Array.iter (fun c -> Snap.Enc.option enc (Vc.encode enc) c) d.lock_clocks;
-  Array.iter (Epoch.encode enc) d.writes;
-  Snap.Enc.int_array enc d.w_index;
-  Array.iter (Epoch.encode enc) d.repoch;
-  Snap.Enc.int_array enc d.rindex;
-  let shared = ref [] in
-  Flat_table.iter d.rshared (fun x s -> shared := (x, s) :: !shared);
-  let shared = List.sort compare !shared in
-  Snap.Enc.int enc (List.length shared);
-  List.iter
-    (fun (x, s) ->
-      Snap.Enc.int enc x;
-      Vc.encode enc d.rvc_pool.(s);
-      Snap.Enc.int_array enc d.rvc_index_pool.(s))
-    shared;
+  encode_locations enc d;
   Metrics.encode enc d.metrics;
   Race.encode_list enc d.races;
   Snap.Enc.to_snap enc
@@ -259,32 +282,7 @@ let restore (cfg : Detector.config) s =
   for l = 0 to Array.length d.lock_clocks - 1 do
     d.lock_clocks.(l) <- Snap.Dec.option dec (fun () -> Vc.decode dec ~size:n)
   done;
-  for x = 0 to Array.length d.writes - 1 do
-    d.writes.(x) <- Epoch.decode dec
-  done;
-  let w_index = Snap.Dec.int_array_n dec (Array.length d.w_index) in
-  Array.blit w_index 0 d.w_index 0 (Array.length w_index);
-  for x = 0 to Array.length d.repoch - 1 do
-    d.repoch.(x) <- Epoch.decode dec
-  done;
-  let rindex = Snap.Dec.int_array_n dec (Array.length d.rindex) in
-  Array.blit rindex 0 d.rindex 0 (Array.length rindex);
-  let nshared = Snap.Dec.int dec in
-  Snap.expect (nshared >= 0 && nshared <= Array.length d.writes)
-    "shared read count out of range";
-  let prev = ref (-1) in
-  for _ = 1 to nshared do
-    let x = Snap.Dec.int dec in
-    Snap.expect (x > !prev && x < Array.length d.writes)
-      "shared read location out of order";
-    prev := x;
-    let slot = alloc_slot d in
-    let rv = Vc.decode dec ~size:n in
-    Vc.copy_into ~into:d.rvc_pool.(slot) rv;
-    let ri = Snap.Dec.int_array_n dec n in
-    Array.blit ri 0 d.rvc_index_pool.(slot) 0 n;
-    Flat_table.set d.rshared x slot
-  done;
+  decode_locations dec d;
   let metrics = Metrics.decode dec in
   d.races <- Race.decode_list dec;
   Snap.Dec.finish dec;

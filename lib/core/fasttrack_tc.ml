@@ -208,9 +208,14 @@ let snapshot d =
   let enc = Snap.Enc.create () in
   Array.iter (Tc.encode enc) d.clocks;
   Array.iter (fun c -> Snap.Enc.option enc (Tc.encode enc) c) d.lock_clocks;
-  Array.iter (Epoch.encode enc) d.writes;
-  Snap.Enc.int_array enc d.w_index;
-  Array.iter (fun r -> Snap.Enc.option enc (encode_read_state enc) r) d.reads;
+  (* per-location state in one keyed section: untouched locations are free *)
+  Snap.Enc.keyed enc ~n:(Array.length d.writes)
+    ~is_default:(fun x ->
+      Epoch.equal d.writes.(x) Epoch.none && d.w_index.(x) = -1 && d.reads.(x) = None)
+    (fun x ->
+      Epoch.encode enc d.writes.(x);
+      Snap.Enc.int enc d.w_index.(x);
+      Snap.Enc.option enc (encode_read_state enc) d.reads.(x));
   Metrics.encode enc d.metrics;
   Race.encode_list enc d.races;
   Snap.Enc.to_snap enc
@@ -225,14 +230,10 @@ let restore (cfg : Detector.config) s =
   for l = 0 to Array.length d.lock_clocks - 1 do
     d.lock_clocks.(l) <- Snap.Dec.option dec (fun () -> Tc.decode dec ~size:n)
   done;
-  for x = 0 to Array.length d.writes - 1 do
-    d.writes.(x) <- Epoch.decode dec
-  done;
-  let w_index = Snap.Dec.int_array_n dec (Array.length d.w_index) in
-  Array.blit w_index 0 d.w_index 0 (Array.length w_index);
-  for x = 0 to Array.length d.reads - 1 do
-    d.reads.(x) <- Snap.Dec.option dec (fun () -> decode_read_state dec ~size:n)
-  done;
+  Snap.Dec.keyed dec ~n:(Array.length d.writes) (fun x ->
+      d.writes.(x) <- Epoch.decode dec;
+      d.w_index.(x) <- Snap.Dec.int dec;
+      d.reads.(x) <- Snap.Dec.option dec (fun () -> decode_read_state dec ~size:n));
   let metrics = Metrics.decode dec in
   d.races <- Race.decode_list dec;
   Snap.Dec.finish dec;

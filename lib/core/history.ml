@@ -293,59 +293,55 @@ let record_read t x ~tid ~epoch ~index ~clean =
 (* The codec carries the caches and version counters too: a restored run
    must count same_epoch_hits (and skip exactly the same work) as the
    uninterrupted run — the checkpoint-equivalence suite diffs the full
-   metrics JSON, not just verdicts. *)
+   metrics JSON, not just verdicts.  Locations go through a keyed section,
+   so one never touched costs nothing; a touched one writes a flag word
+   (bit 0: write history, bit 1: read history), its histories and its
+   cache state. *)
+let untouched t x =
+  Array.length t.write.(x) = 0
+  && Array.length t.read.(x) = 0
+  && t.windex.(x) = -1
+  && t.rcache.(x) = 0
+  && t.rcache_ver.(x) = 0
+  && t.wcache.(x) = 0
+  && t.wcache_ver.(x) = 0
+
 let encode enc t =
-  let n = Array.length t.write in
-  Snap.Enc.int enc n;
-  for x = 0 to n - 1 do
-    (if Array.length t.write.(x) = 0 then Snap.Enc.int enc 0
-     else begin
-       Snap.Enc.int enc 1;
-       Snap.Enc.int_array enc t.write.(x)
-     end);
-    Snap.Enc.int enc t.windex.(x);
-    if Array.length t.read.(x) = 0 then Snap.Enc.int enc 0
-    else begin
-      Snap.Enc.int enc 1;
-      Snap.Enc.int_array enc t.read.(x);
-      Snap.Enc.int_array enc t.rindex.(x)
-    end
-  done;
-  Snap.Enc.int_array enc t.tver;
-  Snap.Enc.int_array enc t.rcache;
-  Snap.Enc.int_array enc t.rcache_ver;
-  Snap.Enc.int_array enc t.wcache;
-  Snap.Enc.int_array enc t.wcache_ver
+  Snap.Enc.keyed enc ~n:(Array.length t.write) ~is_default:(untouched t) (fun x ->
+      let w = Array.length t.write.(x) > 0 and r = Array.length t.read.(x) > 0 in
+      Snap.Enc.int enc ((if w then 1 else 0) lor if r then 2 else 0);
+      if w then Snap.Enc.int_array enc t.write.(x);
+      Snap.Enc.int enc t.windex.(x);
+      if r then begin
+        Snap.Enc.int_array enc t.read.(x);
+        Snap.Enc.int_array enc t.rindex.(x)
+      end;
+      Snap.Enc.int enc t.rcache.(x);
+      Snap.Enc.int enc t.rcache_ver.(x);
+      Snap.Enc.int enc t.wcache.(x);
+      Snap.Enc.int enc t.wcache_ver.(x));
+  Snap.Enc.int_array enc t.tver
 
 let decode dec ~nlocs ~clock_size =
-  let stored = Snap.Dec.int dec in
   let t = create ~nlocs ~clock_size in
-  Snap.expect (stored = Array.length t.write) "history location count mismatch";
   let clock_entries a =
     Snap.expect (Array.length a = clock_size) "history clock width mismatch";
     Array.iter (fun v -> Snap.expect (v >= 0) "negative history entry") a;
     a
   in
-  for x = 0 to stored - 1 do
-    (match Snap.Dec.int dec with
-    | 0 -> ()
-    | 1 -> t.write.(x) <- clock_entries (Snap.Dec.int_array dec)
-    | n -> raise (Snap.Corrupt (Printf.sprintf "bad history tag %d" n)));
-    t.windex.(x) <- Snap.Dec.int dec;
-    match Snap.Dec.int dec with
-    | 0 -> ()
-    | 1 ->
-      t.read.(x) <- clock_entries (Snap.Dec.int_array dec);
-      t.rindex.(x) <- Snap.Dec.int_array_n dec clock_size
-    | n -> raise (Snap.Corrupt (Printf.sprintf "bad history tag %d" n))
-  done;
-  let into ~len dst =
-    let a = Snap.Dec.int_array_n dec len in
-    Array.blit a 0 dst 0 len
-  in
-  into ~len:clock_size t.tver;
-  into ~len:stored t.rcache;
-  into ~len:stored t.rcache_ver;
-  into ~len:stored t.wcache;
-  into ~len:stored t.wcache_ver;
+  Snap.Dec.keyed dec ~n:(Array.length t.write) (fun x ->
+      let flags = Snap.Dec.int dec in
+      Snap.expect (flags land lnot 3 = 0) (Printf.sprintf "bad history flags %d" flags);
+      if flags land 1 <> 0 then t.write.(x) <- clock_entries (Snap.Dec.int_array dec);
+      t.windex.(x) <- Snap.Dec.int dec;
+      if flags land 2 <> 0 then begin
+        t.read.(x) <- clock_entries (Snap.Dec.int_array dec);
+        t.rindex.(x) <- Snap.Dec.int_array_n dec clock_size
+      end;
+      t.rcache.(x) <- Snap.Dec.int dec;
+      t.rcache_ver.(x) <- Snap.Dec.int dec;
+      t.wcache.(x) <- Snap.Dec.int dec;
+      t.wcache_ver.(x) <- Snap.Dec.int dec);
+  let tver = Snap.Dec.int_array_n dec clock_size in
+  Array.blit tver 0 t.tver 0 clock_size;
   t

@@ -100,8 +100,14 @@ val record_read :
     [clean] as for {!record_write_vc}, arming the read cache. *)
 
 val encode : Snap.Enc.t -> t -> unit
+(** One {!Snap.Enc.keyed} section over the locations, then the per-thread
+    version counters.  A location no access has touched (no history, no
+    cache entry) is left out, so the encoding grows with the locations the
+    engine has recorded — for a sampling engine, the sampled ones — and not
+    with [nlocs]. *)
 
 val decode : Snap.Dec.t -> nlocs:int -> clock_size:int -> t
 (** Raises [Snap.Corrupt] on dimension mismatch against the stated
-    universe.  The payload includes the fast-path cache state, so a restored
-    run skips (and counts) exactly what the uninterrupted run would. *)
+    universe, and on a hostile keyed section (see {!Snap.Dec.keyed}).  The
+    payload includes the fast-path cache state, so a restored run skips
+    (and counts) exactly what the uninterrupted run would. *)

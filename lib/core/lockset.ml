@@ -136,8 +136,12 @@ let snapshot d =
   let enc = Snap.Enc.create () in
   d.sample.Sampler.save enc;
   Array.iter (encode_set enc) d.held;
-  Array.iter (encode_state enc) d.states;
-  Snap.Enc.int_array enc d.write_index;
+  (* per-location state in one keyed section: Virgin locations are free *)
+  Snap.Enc.keyed enc ~n:(Array.length d.states)
+    ~is_default:(fun x -> d.states.(x) = Virgin && d.write_index.(x) = -1)
+    (fun x ->
+      encode_state enc d.states.(x);
+      Snap.Enc.int enc d.write_index.(x));
   Metrics.encode enc d.metrics;
   Race.encode_list enc d.races;
   Snap.Enc.to_snap enc
@@ -149,11 +153,9 @@ let restore (cfg : Detector.config) s =
   for t = 0 to Array.length d.held - 1 do
     d.held.(t) <- decode_set dec
   done;
-  for x = 0 to Array.length d.states - 1 do
-    d.states.(x) <- decode_state dec
-  done;
-  let w_index = Snap.Dec.int_array_n dec (Array.length d.write_index) in
-  Array.blit w_index 0 d.write_index 0 (Array.length w_index);
+  Snap.Dec.keyed dec ~n:(Array.length d.states) (fun x ->
+      d.states.(x) <- decode_state dec;
+      d.write_index.(x) <- Snap.Dec.int dec);
   let metrics = Metrics.decode dec in
   d.races <- Race.decode_list dec;
   Snap.Dec.finish dec;

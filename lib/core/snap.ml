@@ -56,6 +56,22 @@ module Enc = struct
     int b (List.length xs);
     List.iter f xs
 
+  (* Two passes over [is_default]: the count goes first so the decoder can
+     bound it against the bytes left before reading any entry. *)
+  let keyed b ~n ~is_default f =
+    int b n;
+    let count = ref 0 in
+    for x = 0 to n - 1 do
+      if not (is_default x) then incr count
+    done;
+    int b !count;
+    for x = 0 to n - 1 do
+      if not (is_default x) then begin
+        int b x;
+        f x
+      end
+    done
+
   let to_snap = Buffer.contents
 end
 
@@ -128,6 +144,25 @@ module Dec = struct
     | n -> corrupt "bad option tag %d" n
 
   let list d f = List.init (length d) (fun _ -> f ())
+
+  (* Every entry costs at least its key byte, so a count above the bytes
+     left is corrupt; keys must rise strictly, which also bounds the count
+     by the universe. *)
+  let keyed d ~n f =
+    let stored = int d in
+    if stored <> n then corrupt "keyed section over %d keys, expected %d" stored n;
+    let count = int d in
+    if count < 0 || count > remaining d then
+      corrupt "keyed section of %d entries (%d bytes left)" count (remaining d);
+    let prev = ref (-1) in
+    for _ = 1 to count do
+      let x = int d in
+      if x < 0 || x >= n then corrupt "keyed section key %d outside 0..%d" x (n - 1)
+      else if x = !prev then corrupt "keyed section repeats key %d" x
+      else if x < !prev then corrupt "keyed section key %d after %d" x !prev;
+      prev := x;
+      f x
+    done
 
   let finish d = expect (remaining d = 0) "trailing bytes after snapshot"
 end

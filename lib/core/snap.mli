@@ -37,6 +37,15 @@ module Enc : sig
   val list : t -> ('a -> unit) -> 'a list -> unit
   (** Length-prefixed, elements in list order. *)
 
+  val keyed : t -> n:int -> is_default:(int -> bool) -> (int -> unit) -> unit
+  (** [keyed enc ~n ~is_default f] writes a {e keyed section} over the
+      universe [0 .. n-1]: [n], then the number of keys [x] with
+      [not (is_default x)], then, for each such [x] in increasing order,
+      [x] followed by whatever [f x] writes.  Keys at their defaults cost
+      nothing, so the section's size follows the state the engine holds,
+      not the universe it was sized for — how every engine encodes its
+      per-location state. *)
+
   val to_snap : t -> string
 end
 
@@ -59,6 +68,14 @@ module Dec : sig
 
   val option : t -> (unit -> 'a) -> 'a option
   val list : t -> (unit -> 'a) -> 'a list
+
+  val keyed : t -> n:int -> (int -> unit) -> unit
+  (** Decode a section written by {!Enc.keyed}, calling [f x] once per
+      stored key in increasing order; the caller leaves every other key at
+      its default.  Raises {!Corrupt}, before reading any entry, when the
+      stored universe is not [n] or the entry count exceeds the bytes left,
+      and, at the offending entry, when a key is outside [0 .. n-1],
+      repeats the previous key or is below it. *)
 
   val finish : t -> unit
   (** Raise {!Corrupt} unless every payload byte has been consumed. *)

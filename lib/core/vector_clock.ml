@@ -6,14 +6,14 @@ let get (c : t) i = Array.unsafe_get c i
 let set (c : t) i v = Array.unsafe_set c i v
 let inc (c : t) i = c.(i) <- c.(i) + 1
 
-let join ~into src =
+let join ~(into : t) (src : t) =
   assert (Array.length into = Array.length src);
   for i = 0 to Array.length into - 1 do
     let v = Array.unsafe_get src i in
     if v > Array.unsafe_get into i then Array.unsafe_set into i v
   done
 
-let join_count ~into src =
+let join_count ~(into : t) (src : t) =
   assert (Array.length into = Array.length src);
   let changed = ref 0 in
   for i = 0 to Array.length into - 1 do
@@ -38,7 +38,7 @@ let copy_into ~(into : t) (src : t) =
 let blit_into (c : t) dst = Array.blit c 0 dst 0 (Array.length c)
 let copy = Array.copy
 
-let leq c1 c2 =
+let leq (c1 : t) (c2 : t) =
   assert (Array.length c1 = Array.length c2);
   let n = Array.length c1 in
   let rec loop i = i >= n || (Array.unsafe_get c1 i <= Array.unsafe_get c2 i && loop (i + 1)) in

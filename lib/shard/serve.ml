@@ -247,7 +247,9 @@ type telemetry = {
   checkpoints_total : Registry.counter;
   faults_injected : Registry.counter;
   checkpoint_failures : Registry.counter;
+  checkpoint_bytes : Registry.counter;
   ingest_ns : Histogram.t;
+  checkpoint_ns : Histogram.t;
   started_ns : int64;
   mutable ring_gauges : Registry.gauge array;    (* one per shard *)
   mutable shard_events : Registry.counter array; (* one per shard, mirrored *)
@@ -289,9 +291,15 @@ let make_telemetry () =
     checkpoint_failures =
       Registry.counter reg "serve_checkpoint_failures_total"
         ~help:"Checkpoint sets abandoned because a write faulted";
+    checkpoint_bytes =
+      Registry.counter reg "serve_checkpoint_bytes_total"
+        ~help:"Bytes of the checkpoint sets written (.ftc files, headers included)";
     ingest_ns =
       Registry.histogram reg "serve_batch_ingest_ns"
         ~help:"Per-batch ingest latency (feed + drain + checkpoint), nanoseconds";
+    checkpoint_ns =
+      Registry.histogram reg "serve_checkpoint_ns"
+        ~help:"Per-set checkpoint time (snapshot + encode + write + fsync), nanoseconds";
     started_ns = Clock.now_ns ();
     ring_gauges = [||];
     shard_events = [||];
@@ -363,13 +371,21 @@ let write_checkpoint st =
        any metadata disagreement between them, degrading to a fresh start —
        so an abandoned set can never produce a wrong resume, only a slower
        one.  Log it, count it, keep serving. *)
+    let t0 = Clock.now_ns () in
+    let save path snap =
+      Checkpoint.save path { Checkpoint.meta; detector = snap };
+      (Unix.stat path).Unix.st_size
+    in
     try
-      Array.iteri
-        (fun k snap ->
-          Checkpoint.save (shard_file dir k) { Checkpoint.meta; detector = snap })
-        (Sharded.shard_snapshots det);
-      Checkpoint.save (router_file dir)
-        { Checkpoint.meta; detector = Sharded.router_snapshot det };
+      let shard_bytes =
+        Array.mapi (fun k snap -> save (shard_file dir k) snap) (Sharded.shard_snapshots det)
+      in
+      let bytes =
+        Array.fold_left ( + ) (save (router_file dir) (Sharded.router_snapshot det)) shard_bytes
+      in
+      Histogram.observe st.tel.checkpoint_ns
+        (Int64.to_int (Int64.sub (Clock.now_ns ()) t0));
+      Registry.add st.tel.checkpoint_bytes bytes;
       Registry.incr st.tel.checkpoints_total
     with Fault.Injected _ as e ->
       Registry.incr st.tel.checkpoint_failures;

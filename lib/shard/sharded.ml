@@ -72,7 +72,9 @@ type t = {
   max_restarts : int;
   snapshot_every : int;
   shards : shard array;
-  baseline : inst;  (* same engine, fed only the broadcast sync stream *)
+  baseline : inst option;
+      (* K ≥ 2: same engine, fed only the broadcast sync stream; at K = 1
+         the one shard sees every event, so there is nothing to subtract *)
   sampler_inst : Sampler.instance;
   pending : bool array;  (* mirror of every instance's pending bit, per thread *)
   routed : int array;  (* events pushed per shard ring; router-domain only *)
@@ -359,10 +361,13 @@ let create ~engine ~shards:k ?supervise ?max_restarts ?snapshot_every
   let packed = Engine.detector engine in
   build ~engine ~shards:k ?supervise ?max_restarts ?snapshot_every config
     ~shard_insts:(Array.init k (fun _ -> fresh_inst packed config))
-    ~baseline:(fresh_inst packed config)
+    ~baseline:(if k >= 2 then Some (fresh_inst packed config) else None)
     ~sampler_inst:(Sampler.fresh config.Detector.sampler)
     ~pending:(Array.make config.Detector.nthreads false)
     ~nevents:0
+
+let base_handle t i e = match t.baseline with Some b -> b.i_handle i e | None -> ()
+let base_note t th = match t.baseline with Some b -> b.i_note th | None -> ()
 
 let broadcast t m =
   for s = 0 to t.k - 1 do
@@ -385,27 +390,27 @@ let handle t i (e : Event.t) =
         (* the owner sets its own bit when it handles the event *)
         if s <> o then push_msg t s (Mark e.Event.thread)
       done;
-      t.baseline.i_note e.Event.thread
+      base_note t e.Event.thread
     end;
     push_msg t o (Ev (i, e));
     t.routed.(o) <- t.routed.(o) + 1
   | Event.Acquire _ | Event.Acquire_load _ ->
     (* acquires never flush pending *)
     broadcast t (Ev (i, e));
-    t.baseline.i_handle i e
+    base_handle t i e
   | Event.Release _ | Event.Release_store _ ->
     broadcast t (Ev (i, e));
-    t.baseline.i_handle i e;
+    base_handle t i e;
     t.pending.(e.Event.thread) <- false
   | Event.Fork _ ->
     (* fork flushes the forking thread *)
     broadcast t (Ev (i, e));
-    t.baseline.i_handle i e;
+    base_handle t i e;
     t.pending.(e.Event.thread) <- false
   | Event.Join u ->
     (* join flushes the joined child *)
     broadcast t (Ev (i, e));
-    t.baseline.i_handle i e;
+    base_handle t i e;
     t.pending.(u) <- false);
   t.nevents <- t.nevents + 1
 
@@ -425,7 +430,7 @@ let note_sampled t th =
     for s = 0 to t.k - 1 do
       push_msg t s (Mark th)
     done;
-    t.baseline.i_note th
+    base_note t th
   end
 
 let events t = t.nevents
@@ -470,19 +475,22 @@ let check t =
 let result t =
   flush t;
   let rs = Array.map (fun sh -> sh.inst.i_result ()) t.shards in
-  let base = t.baseline.i_result () in
-  let races =
-    List.sort
-      (fun (a : Race.t) (b : Race.t) -> Stdlib.compare a.Race.index b.Race.index)
-      (List.concat_map (fun (r : Detector.result) -> r.Detector.races) (Array.to_list rs))
-  in
-  {
-    Detector.engine = base.Detector.engine;
-    races;
-    metrics =
-      Metrics.merge_shards ~sync_baseline:base.Detector.metrics
-        (Array.map (fun (r : Detector.result) -> r.Detector.metrics) rs);
-  }
+  match t.baseline with
+  | None -> rs.(0)
+  | Some baseline ->
+    let base = baseline.i_result () in
+    let races =
+      List.sort
+        (fun (a : Race.t) (b : Race.t) -> Stdlib.compare a.Race.index b.Race.index)
+        (List.concat_map (fun (r : Detector.result) -> r.Detector.races) (Array.to_list rs))
+    in
+    {
+      Detector.engine = base.Detector.engine;
+      races;
+      metrics =
+        Metrics.merge_shards ~sync_baseline:base.Detector.metrics
+          (Array.map (fun (r : Detector.result) -> r.Detector.metrics) rs);
+    }
 
 let stop t =
   if not t.stopped then begin
@@ -537,7 +545,7 @@ let router_snapshot t =
   Snap.Enc.int enc t.nevents;
   Snap.Enc.bool_array enc t.pending;
   t.sampler_inst.Sampler.save enc;
-  Snap.Enc.string enc (t.baseline.i_snapshot ());
+  Option.iter (fun b -> Snap.Enc.string enc (b.i_snapshot ())) t.baseline;
   Snap.Enc.to_snap enc
 
 let restore ~engine ~shards:k ?supervise ?max_restarts ?snapshot_every
@@ -554,10 +562,10 @@ let restore ~engine ~shards:k ?supervise ?max_restarts ?snapshot_every
   let pending = Snap.Dec.bool_array_n dec config.Detector.nthreads in
   let sampler_inst = Sampler.fresh config.Detector.sampler in
   sampler_inst.Sampler.load dec;
-  let base_snap = Snap.Dec.string dec in
+  let base_snap = if k >= 2 then Some (Snap.Dec.string dec) else None in
   Snap.Dec.finish dec;
   let packed = Engine.detector engine in
   build ~engine ~shards:k ?supervise ?max_restarts ?snapshot_every config
     ~shard_insts:(Array.map (fun s -> restored_inst packed config s) shard_snaps)
-    ~baseline:(restored_inst packed config base_snap)
+    ~baseline:(Option.map (restored_inst packed config) base_snap)
     ~sampler_inst ~pending ~nevents

@@ -22,7 +22,9 @@
     event index, are byte-identical to the unsharded engine's declarations —
     for every engine, every sampler, and every K (property-tested).  Metrics
     are merged exactly via {!Ft_core.Metrics.merge_shards}, using an inline
-    sync-only baseline instance that measures the duplicated sync work.
+    sync-only baseline instance that measures the duplicated sync work.  At
+    K = 1 nothing is duplicated, so there is no baseline: {!result} returns
+    the one shard's result as it stands.
 
     {2 Supervision}
 
@@ -96,10 +98,10 @@ val handle : t -> int -> Ft_trace.Event.t -> unit
 val note_sampled : t -> Ft_trace.Event.tid -> unit
 (** Apply a pending-bit transition whose triggering access is owned by
     {e another} detector — how a cluster worker replays a router [Mark]
-    ({!Cmsg.msg}).  Sets the bit, marks every internal shard and notes the
-    baseline, exactly as {!handle} does for a locally-owned sampled access;
-    a no-op when the bit is already set.  Not an event: {!events} and the
-    per-shard routed counts are unchanged. *)
+    ({!Cmsg.msg}).  Sets the bit, marks every internal shard and (K ≥ 2)
+    notes the baseline, exactly as {!handle} does for a locally-owned
+    sampled access; a no-op when the bit is already set.  Not an event:
+    {!events} and the per-shard routed counts are unchanged. *)
 
 val events : t -> int
 (** Events routed so far. *)
@@ -152,9 +154,10 @@ val stop : t -> unit
 
     A sharded detector checkpoints as K engine snapshots (one per shard,
     each a regular {!Ft_core.Detector.S.snapshot}) plus one router snapshot
-    holding the replicated-pending bits, the router's sampler state, the
-    event count and the sync-only baseline.  [restore] rebuilds the whole
-    ensemble; shard count and universe must match the snapshots. *)
+    holding K, the event count, the replicated-pending bits, the router's
+    sampler state and — at K ≥ 2 only — the sync-only baseline's snapshot.
+    [restore] rebuilds the whole ensemble; shard count and universe must
+    match the snapshots. *)
 
 val shard_snapshots : t -> Ft_core.Snap.t array
 (** Flushes first; index [k] is shard [k]'s engine snapshot. *)

@@ -15,17 +15,19 @@ type meta = {
 type t = { meta : meta; detector : Snap.t }
 
 let magic = "FTCK"
-let version = 1
+let version = 2
 
 (* magic + version byte + 8-byte little-endian FNV-1a 64 checksum *)
 let header_len = String.length magic + 1 + 8
 
+(* A plain indexed loop: the accumulator stays an unboxed local, where a
+   closure over an [Int64] ref boxes it at every byte. *)
 let fnv64 s =
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
+  for i = 0 to String.length s - 1 do
+    let c = Int64.of_int (Char.code (String.unsafe_get s i)) in
+    h := Int64.mul (Int64.logxor !h c) 0x100000001b3L
+  done;
   !h
 
 let to_string t =

@@ -15,7 +15,16 @@
     the engine snapshot.  Decoding never raises: bit flips are caught by the
     checksum, truncation by the checksum or the length-checked decoders, and
     format drift by the version byte — each yields [Error] with a
-    description. *)
+    description.
+
+    Version 2 (the current {!version}) encodes every engine's per-location
+    state as a {!Ft_core.Snap.Enc.keyed} section, so a checkpoint's size
+    follows the locations the detector has touched, not the universe it was
+    sized for.  Version-1 files are rejected as
+    ["unsupported checkpoint version 1"]; every caller already has a
+    fallback for a rejected file (serve starts fresh, analyze replays from
+    the start, the cluster router replays its WAL), so no version-1 decoder
+    is kept. *)
 
 type meta = {
   engine : Ft_core.Engine.id;
@@ -32,10 +41,15 @@ type meta = {
 
 type t = { meta : meta; detector : Ft_core.Snap.t }
 
+val version : int
+(** The container version written by {!to_string} and the only one
+    {!of_string} accepts (byte 4 of the file). *)
+
 val fnv64 : string -> int64
 (** The container's checksum primitive (FNV-1a 64) — shared with the
     cluster router's WAL framing so both on-disk formats validate bytes
-    the same way. *)
+    the same way.  Its values are those of the textbook definition, so WAL
+    records written by earlier builds still check. *)
 
 val to_string : t -> string
 

@@ -7,6 +7,8 @@
      byte, wrong version, random bytes) with [Error], never an exception —
      and a rejected checkpoint never changes an analysis result (the runner
      falls back to full replay);
+   - keyed sections reject hostile counts and keys with exact errors, and
+     every engine's snapshot size is independent of the declared universe;
    - Ordered_list deep copies and snapshot roundtrips preserve the recency
      order that Alg 4's d-prefix traversals depend on;
    - SO's and SL's lazy-copy slab keeps exact holder counts after every
@@ -316,20 +318,23 @@ let test_fuzz_truncation () =
       (Checkpoint.of_string (String.sub s 0 len))
   done
 
+(* Every version byte but the current one is rejected, naming the version;
+   version 1 (dense per-location arrays) included — its callers fall back. *)
 let test_fuzz_version () =
   let s = Lazy.force sample_checkpoint_string in
+  Alcotest.(check char) "byte 4 is the version" (Char.chr Checkpoint.version) s.[4];
   List.iter
     (fun v ->
       let b = Bytes.of_string s in
       Bytes.set b 4 (Char.chr v);
       match Checkpoint.of_string (Bytes.to_string b) with
       | Error msg ->
-        Alcotest.(check bool)
+        Alcotest.(check string)
           (Printf.sprintf "version %d names the version" v)
-          true
-          (String.length msg > 0)
+          (Printf.sprintf "unsupported checkpoint version %d" v)
+          msg
       | Ok _ -> Alcotest.failf "version byte %d accepted" v)
-    [ 0; 2; 3; 127; 255 ]
+    [ 0; 1; Checkpoint.version + 1; 127; 255 ]
 
 let test_fuzz_random_bytes () =
   let prng = Prng.create ~seed:4242 in
@@ -338,13 +343,104 @@ let test_fuzz_random_bytes () =
     let b = Bytes.init len (fun _ -> Char.chr (Prng.int prng 256)) in
     expect_error "random bytes" (Checkpoint.of_string (Bytes.to_string b))
   done;
-  (* random payloads behind a valid magic+version exercise the decoders *)
+  (* random payloads behind a valid magic, version and checksum reach the
+     decoders *)
   for _ = 1 to 500 do
     let len = Prng.int prng 96 in
-    let b = Bytes.init (5 + len) (fun _ -> Char.chr (Prng.int prng 256)) in
-    Bytes.blit_string "FTCK\001" 0 b 0 5;
-    expect_error "random payload" (Checkpoint.of_string (Bytes.to_string b))
+    let payload = String.init len (fun _ -> Char.chr (Prng.int prng 256)) in
+    let b = Bytes.create 13 in
+    Bytes.blit_string "FTCK" 0 b 0 4;
+    Bytes.set b 4 (Char.chr Checkpoint.version);
+    Bytes.set_int64_le b 5 (Checkpoint.fnv64 payload);
+    expect_error "random payload" (Checkpoint.of_string (Bytes.to_string b ^ payload))
   done
+
+(* --- keyed sections --------------------------------------------------------- *)
+
+(* A keyed section over a universe of 10 whose entries are one int each. *)
+let keyed_section ~n ~count keys =
+  let enc = Snap.Enc.create () in
+  Snap.Enc.int enc n;
+  Snap.Enc.int enc count;
+  List.iter
+    (fun x ->
+      Snap.Enc.int enc x;
+      Snap.Enc.int enc 7)
+    keys;
+  Snap.Enc.to_snap enc
+
+let decode_keyed s =
+  let dec = Snap.Dec.of_snap s in
+  let seen = ref [] in
+  Snap.Dec.keyed dec ~n:10 (fun x ->
+      Snap.expect (Snap.Dec.int dec = 7) "entry payload";
+      seen := x :: !seen);
+  Snap.Dec.finish dec;
+  List.rev !seen
+
+let test_keyed_roundtrip () =
+  let enc = Snap.Enc.create () in
+  Snap.Enc.keyed enc ~n:10 ~is_default:(fun x -> x mod 3 <> 0) (fun _ -> Snap.Enc.int enc 7);
+  Alcotest.(check (list int)) "only non-default keys, ascending" [ 0; 3; 6; 9 ]
+    (decode_keyed (Snap.Enc.to_snap enc));
+  Alcotest.(check (list int)) "empty section" [] (decode_keyed (keyed_section ~n:10 ~count:0 []))
+
+let test_keyed_hostile () =
+  let rejects what msg s =
+    Alcotest.check_raises what (Snap.Corrupt msg) (fun () -> ignore (decode_keyed s))
+  in
+  rejects "keys out of order" "keyed section key 3 after 5"
+    (keyed_section ~n:10 ~count:2 [ 5; 3 ]);
+  rejects "repeated key" "keyed section repeats key 4"
+    (keyed_section ~n:10 ~count:3 [ 1; 4; 4 ]);
+  rejects "key at the universe size" "keyed section key 10 outside 0..9"
+    (keyed_section ~n:10 ~count:1 [ 10 ]);
+  rejects "negative key" "keyed section key -1 outside 0..9"
+    (keyed_section ~n:10 ~count:1 [ -1 ]);
+  rejects "count beyond the bytes left" "keyed section of 1000 entries (4 bytes left)"
+    (keyed_section ~n:10 ~count:1000 [ 2; 8 ]);
+  rejects "negative count" "keyed section of -1 entries (0 bytes left)"
+    (keyed_section ~n:10 ~count:(-1) []);
+  rejects "different universe" "keyed section over 11 keys, expected 10"
+    (keyed_section ~n:11 ~count:0 [])
+
+(* A snapshot's size follows the state the engine holds, not its universe:
+   the same db:tpcc prefix at 3 % sampling, declared with 8x the locations,
+   snapshots to the same length for every engine, apart from the wider
+   location count at the head of its one keyed section. *)
+let test_universe_independence () =
+  let trace =
+    Ft_workloads.Db_sim.generate
+      (Option.get (Ft_workloads.Db_sim.profile "tpcc"))
+      ~seed:3 ~target_events:30_000
+  in
+  let nlocs = trace.Trace.nlocs in
+  let wide =
+    Trace.make ~nthreads:trace.Trace.nthreads ~nlocks:trace.Trace.nlocks ~nlocs:(8 * nlocs)
+      (Array.init (Trace.length trace) (Trace.get trace))
+  in
+  let varint_width n =
+    let enc = Snap.Enc.create () in
+    Snap.Enc.int enc n;
+    String.length (Snap.Enc.to_snap enc)
+  in
+  let widening = varint_width (8 * nlocs) - varint_width nlocs in
+  List.iter
+    (fun id ->
+      let snap tr =
+        let (module D : Detector.S) = Engine.detector id in
+        let d =
+          D.create (Detector.config_of_trace ~sampler:(Sampler.bernoulli ~rate:0.03 ~seed:1) tr)
+        in
+        Trace.iteri (fun i e -> D.handle d i e) tr;
+        D.snapshot d
+      in
+      let narrow = snap trace and wide = snap wide in
+      Alcotest.(check int)
+        (Engine.name id ^ ": snapshot length independent of the universe")
+        (String.length narrow + widening)
+        (String.length wide))
+    engines
 
 (* --- ordered-list regressions -------------------------------------------- *)
 
@@ -616,6 +712,14 @@ let () =
           Alcotest.test_case "truncation at every byte" `Quick test_fuzz_truncation;
           Alcotest.test_case "wrong version byte" `Quick test_fuzz_version;
           Alcotest.test_case "random bytes" `Quick test_fuzz_random_bytes;
+        ] );
+      ( "keyed sections",
+        [
+          Alcotest.test_case "roundtrip keeps non-default keys" `Quick test_keyed_roundtrip;
+          Alcotest.test_case "hostile sections rejected with exact errors" `Quick
+            test_keyed_hostile;
+          Alcotest.test_case "snapshot size independent of the universe (11 engines)" `Quick
+            test_universe_independence;
         ] );
       ( "ordered list",
         [

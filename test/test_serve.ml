@@ -7,7 +7,10 @@
      payloads and unknown commands answer without corrupting the session;
    - crash-mid-stream: SIGKILL the daemon between batches, restart it from
      the per-shard .ftc checkpoints, blindly resend everything — the final
-     report still matches the uninterrupted analysis.
+     report still matches the uninterrupted analysis; a version-1 or
+     garbled checkpoint set degrades to a logged fresh start;
+   - telemetry: STATS/--metrics-json counters, and one checkpoint-time
+     observation per checkpoint set.
 
    The daemon runs in a forked child (it spawns shard domains; the parent
    forks before ever creating a domain). *)
@@ -43,10 +46,16 @@ let with_temp_dir f =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-let start_server ?checkpoint_dir ?resume_dir ?metrics_json ?chaos ~engine ~shards ~sampler
-    socket =
+let start_server ?checkpoint_dir ?resume_dir ?metrics_json ?chaos ?stderr_path ~engine
+    ~shards ~sampler socket =
   match Unix.fork () with
   | 0 ->
+    Option.iter
+      (fun path ->
+        let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+        Unix.dup2 fd Unix.stderr;
+        Unix.close fd)
+      stderr_path;
     (try
        Serve.run
          {
@@ -401,6 +410,66 @@ let test_resume_with_corrupt_checkpoint_starts_fresh () =
   get_ok "shutdown" (Serve.shutdown fd);
   reap pid
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+(* A checkpoint set written in the version-1 format (here: a fresh set with
+   byte 4 of every file patched back to 1) is rejected by the version check,
+   logged, and the daemon starts fresh; the blind resend converges to the
+   exact report. *)
+let test_resume_with_version1_set_starts_fresh () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.3 ~seed:2 in
+  let trace = sample_trace ~seed:12 ~length:1_200 in
+  let expected = expected_report ~engine ~sampler trace in
+  let socket = Filename.concat dir "serve.sock" in
+  let log = Filename.concat dir "serve.err" in
+  let ckpt = Filename.concat dir "ckpt" in
+  Unix.mkdir ckpt 0o700;
+  Fun.protect ~finally:(fun () -> rm_rf ckpt) @@ fun () ->
+  let batches = slices trace ~batch:300 in
+  let pid = start_server ~engine ~shards:2 ~sampler ~checkpoint_dir:ckpt socket in
+  (Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+   let fd = Serve.connect (Serve.Unix_path socket) in
+   Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+   List.iteri
+     (fun i (base, sub) ->
+       if i < 2 then ignore (get_ok "phase-1 batch" (Serve.send_batch fd ~base sub)))
+     batches);
+  (try Unix.unlink socket with Unix.Unix_error _ -> ());
+  let files = Sys.readdir ckpt in
+  Alcotest.(check int) "a full set on disk (2 shards + router)" 3 (Array.length files);
+  Array.iter
+    (fun f ->
+      let path = Filename.concat ckpt f in
+      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+      ignore (Unix.lseek fd 4 Unix.SEEK_SET);
+      ignore (Unix.write_substring fd "\001" 0 1);
+      Unix.close fd)
+    files;
+  let pid =
+    start_server ~engine ~shards:2 ~sampler ~resume_dir:ckpt ~stderr_path:log socket
+  in
+  Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+  let fd = Serve.connect (Serve.Unix_path socket) in
+  Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+  let base0, sub0 = List.hd batches in
+  Alcotest.(check int) "fresh start: the first batch is all new" 300
+    (get_ok "batch 0" (Serve.send_batch fd ~base:base0 sub0));
+  List.iter
+    (fun (base, sub) -> ignore (get_ok "resend" (Serve.send_batch fd ~base sub)))
+    batches;
+  let report = get_ok "report" (Serve.fetch_report fd) in
+  Alcotest.(check string) "version-1 fallback still exact" expected report;
+  get_ok "shutdown" (Serve.shutdown fd);
+  reap pid;
+  let err = In_channel.with_open_bin log In_channel.input_all in
+  Alcotest.(check bool) "logs that it cannot resume" true (contains err "cannot resume");
+  Alcotest.(check bool) "names the rejected version" true
+    (contains err "unsupported checkpoint version 1")
+
 (* --- slow server: partial reads must not spuriously fail ----------------------- *)
 
 (* A fake server on a socketpair trickles a REPORT reply out in tiny chunks
@@ -504,11 +573,7 @@ let test_stats_during_ingestion () =
     (* Prometheus first: must expose the ingest counters as text *)
     let prom = get_ok "fetch_stats prom" (Serve.fetch_stats c ~format:`Prometheus) in
     List.iter
-      (fun series ->
-        Alcotest.(check bool) (series ^ " exposed") true
-          (let nh = String.length prom and nn = String.length series in
-           let rec go i = i + nn <= nh && (String.sub prom i nn = series || go (i + 1)) in
-           go 0))
+      (fun series -> Alcotest.(check bool) (series ^ " exposed") true (contains prom series))
       [
         "# TYPE serve_batches_ingested_total counter";
         "serve_events_ingested_total";
@@ -593,6 +658,51 @@ let test_metrics_json_file () =
       (member_int [ "events" ] doc);
     Alcotest.(check bool) "merged metrics present" true
       (Json.member "metrics" doc <> None)
+
+(* Checkpoint-stage telemetry: one [serve_checkpoint_ns] observation and
+   the set's bytes per checkpoint set written, in STATS, STATS JSON and
+   --metrics-json alike. *)
+let test_checkpoint_telemetry () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.3 ~seed:4 in
+  let trace = sample_trace ~seed:13 ~length:1_500 in
+  let socket = Filename.concat dir "serve.sock" in
+  let path = Filename.concat dir "metrics.json" in
+  let ckpt = Filename.concat dir "ckpt" in
+  Unix.mkdir ckpt 0o700;
+  Fun.protect ~finally:(fun () -> rm_rf ckpt) @@ fun () ->
+  let pid =
+    start_server ~engine ~shards:2 ~sampler ~checkpoint_dir:ckpt ~metrics_json:path socket
+  in
+  Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+  let fd = Serve.connect (Serve.Unix_path socket) in
+  Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+  List.iter
+    (fun (base, sub) -> ignore (get_ok "send" (Serve.send_batch fd ~base sub)))
+    (slices trace ~batch:300);
+  let check_doc what doc =
+    let sets = member_int [ "telemetry"; "serve_checkpoints_total" ] doc in
+    Alcotest.(check bool) (what ^ ": sets were written") true (sets > 0);
+    Alcotest.(check int) (what ^ ": one observation per set") sets
+      (member_int [ "telemetry"; "serve_checkpoint_ns"; "count" ] doc);
+    Alcotest.(check bool) (what ^ ": time observed") true
+      (member_int [ "telemetry"; "serve_checkpoint_ns"; "sum" ] doc > 0);
+    Alcotest.(check bool) (what ^ ": bytes counted") true
+      (member_int [ "telemetry"; "serve_checkpoint_bytes_total" ] doc > 0)
+  in
+  let prom = get_ok "fetch_stats prom" (Serve.fetch_stats fd ~format:`Prometheus) in
+  List.iter
+    (fun series -> Alcotest.(check bool) (series ^ " exposed") true (contains prom series))
+    [ "serve_checkpoint_ns_bucket{le="; "# TYPE serve_checkpoint_bytes_total counter" ];
+  (match Json.parse (get_ok "fetch_stats json" (Serve.fetch_stats fd ~format:`Json)) with
+  | Error msg -> Alcotest.failf "STATS JSON does not parse: %s" msg
+  | Ok doc -> check_doc "STATS JSON" doc);
+  get_ok "shutdown" (Serve.shutdown fd);
+  reap pid;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  match Json.parse text with
+  | Error msg -> Alcotest.failf "--metrics-json output does not parse: %s" msg
+  | Ok doc -> check_doc "--metrics-json" doc
 
 (* One large BATCH whose payload spans many 64 KiB recv rounds: the daemon
    must accumulate it in amortized O(1) per byte (Netbuf) and answer with
@@ -718,6 +828,8 @@ let () =
           Alcotest.test_case "STATS during two-client ingestion" `Quick
             test_stats_during_ingestion;
           Alcotest.test_case "--metrics-json on shutdown" `Quick test_metrics_json_file;
+          Alcotest.test_case "checkpoint time and bytes per set" `Quick
+            test_checkpoint_telemetry;
         ] );
       ( "crash/resume",
         [
@@ -725,5 +837,7 @@ let () =
             test_crash_and_resume;
           Alcotest.test_case "corrupt checkpoint degrades to fresh start" `Quick
             test_resume_with_corrupt_checkpoint_starts_fresh;
+          Alcotest.test_case "version-1 checkpoint set degrades to fresh start" `Quick
+            test_resume_with_version1_set_starts_fresh;
         ] );
     ]

@@ -329,8 +329,7 @@ let test_sharded_snapshot_restore () =
 
 (* K = 1 has two paths: supervised, the engine runs on a worker domain;
    unsupervised, it runs in the caller's domain.  A checkpoint set is the
-   same bytes either way, so a set written by one path resumes on the other
-   — sets written before the in-line path existed included. *)
+   same bytes either way, so a set written by one path resumes on the other. *)
 let test_k1_paths_share_checkpoints () =
   let prng = Prng.create ~seed:9 in
   let trace =
