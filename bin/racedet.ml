@@ -19,7 +19,7 @@ module Metrics = Ft_core.Metrics
 module Race = Ft_core.Race
 module Db_sim = Ft_workloads.Db_sim
 module Classic = Ft_workloads.Classic
-module Sharded = Ft_shard.Sharded
+module Runner = Ft_shard.Runner
 module Serve = Ft_shard.Serve
 module Router = Ft_cluster.Router
 module Loadgen = Ft_cluster.Loadgen
@@ -237,7 +237,9 @@ let analyze_cmd =
   let checkpoint =
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE"
            ~doc:"Write a resumable .ftc checkpoint to FILE every \
-                 $(b,--checkpoint-every) events.")
+                 $(b,--checkpoint-every) events. With $(b,--shards) K it holds all K \
+                 shards. A shard failure (e.g. one injected by $(b,--chaos)) ends the \
+                 run with exit 1, and $(b,--resume) FILE finishes it.")
   in
   let checkpoint_every =
     Arg.(value & opt int 10_000 & info [ "checkpoint-every" ] ~docv:"N"
@@ -246,8 +248,8 @@ let analyze_cmd =
   let resume =
     Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE"
            ~doc:"Resume from a .ftc checkpoint written by an earlier run with the same \
-                 engine, sampler and trace. A checkpoint that fails to load or \
-                 validate is reported and the analysis replays from the start.")
+                 engine, sampler, shard count and trace. A checkpoint that fails to \
+                 load or validate is reported and the analysis replays from the start.")
   in
   let metrics_json =
     Arg.(value & opt (some string) None & info [ "metrics-json" ] ~docv:"FILE"
@@ -291,6 +293,12 @@ let analyze_cmd =
     | None ->
       prerr_endline ("racedet: unknown engine " ^ engine);
       1
+    | Some _ when shards < 1 ->
+      prerr_endline "racedet: --shards must be positive";
+      1
+    | Some _ when shards > 1 && racy_fastpath ->
+      prerr_endline "racedet: --racy-fastpath is a single-stream mode (drop --shards)";
+      1
     | Some id ->
       with_chaos chaos @@ fun () ->
       let sampler = if rate >= 1.0 then Sampler.all else Sampler.bernoulli ~rate ~seed in
@@ -303,142 +311,45 @@ let analyze_cmd =
         | None -> ());
         print_result ~events ~result show_races
       in
-      if shards > 1 && (checkpoint <> None || resume <> None) then begin
-        prerr_endline
-          "racedet: --shards cannot be combined with --checkpoint/--resume (use \
-           'racedet serve' for resumable sharded ingestion)";
-        1
-      end
-      else if shards > 1 && racy_fastpath then begin
-        prerr_endline "racedet: --racy-fastpath is a single-stream mode (drop --shards)";
-        1
-      end
-      else if shards > 1 then begin
-        (* chaos armed ⇒ supervise: injected shard faults heal instead of
-           failing the run, and the report stays byte-identical *)
-        let run_sharded config feed =
-          let sh = Sharded.create ~engine:id ~shards ~supervise:(Fault.armed ()) config in
-          let events = feed sh in
-          let result = Sharded.result sh in
-          Sharded.stop sh;
-          let restarts = Sharded.restarts_total sh in
-          if restarts > 0 then
-            Printf.eprintf "racedet: supervisor restarted shards %d times\n%!" restarts;
-          finish ~events ~result
-        in
-        if Filename.check_suffix file ".ftb" then begin
-          (* stream .ftb straight into the router, batch by batch: the
-             trace is never materialized, so sharded runs scale past RAM *)
-          match (try Ok (open_in_bin file) with Sys_error msg -> Error msg) with
-          | Error msg ->
-            prerr_endline ("racedet: " ^ msg);
-            1
-          | Ok ic ->
-            Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-            (match Ft_trace.Trace_binary.open_channel ic with
-            | Error msg ->
-              prerr_endline ("racedet: " ^ msg);
-              1
-            | Ok reader ->
-              let module Tb = Ft_trace.Trace_binary in
-              let h = Tb.header reader in
-              let nthreads = h.Tb.nthreads in
-              let clock_size =
-                match clock_size with
-                | None -> nthreads
-                | Some s -> s
-              in
-              if clock_size < nthreads then begin
-                prerr_endline "racedet: clock size below thread count";
-                1
-              end
-              else begin
-                let config =
-                  {
-                    Detector.nthreads;
-                    nlocks = h.Tb.nlocks;
-                    nlocs = h.Tb.nlocs;
-                    clock_size;
-                    sampler;
-                  }
-                in
-                let batch = Tb.create_batch () in
-                let feed sh =
-                  let rec loop () =
-                    match Tb.read_batch reader batch with
-                    | Error msg -> Error msg
-                    | Ok 0 -> Ok (Tb.events_read reader)
-                    | Ok n ->
-                      let start = Tb.events_read reader - n in
-                      for j = 0 to n - 1 do
-                        Sharded.handle sh (start + j) (Tb.batch_event batch j)
-                      done;
-                      loop ()
-                  in
-                  loop ()
-                in
-                let sh =
-                  Sharded.create ~engine:id ~shards ~supervise:(Fault.armed ()) config
-                in
-                match feed sh with
-                | Error msg ->
-                  Sharded.stop sh;
-                  prerr_endline ("racedet: " ^ msg);
-                  1
-                | Ok events ->
-                  let result = Sharded.result sh in
-                  Sharded.stop sh;
-                  let restarts = Sharded.restarts_total sh in
-                  if restarts > 0 then
-                    Printf.eprintf "racedet: supervisor restarted shards %d times\n%!"
-                      restarts;
-                  finish ~events ~result
-              end)
-        end
-        else begin
-          match load_trace file with
-          | Error msg ->
-            prerr_endline msg;
-            1
-          | Ok trace ->
-            let config = Detector.config_of_trace ~sampler ?clock_size trace in
-            run_sharded config (fun sh ->
-                Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
-                Trace.length trace)
-        end
-      end
-      else if checkpoint <> None || resume <> None then begin
-        (* resumable path: .ftb traces stream (and record byte offsets for
-           seeking); textual traces are replayed in memory *)
+      if shards > 1 || checkpoint <> None || resume <> None then begin
+        (* the sharded and the resumable path: .ftb traces stream (and
+           record byte offsets for seeking); textual traces are replayed in
+           memory.  A shard failure ends the run here with exit 1, and
+           --resume from the last checkpoint finishes it. *)
+        let shards = if shards > 1 then Some shards else None in
+        let runner_error = Result.map_error (fun msg -> "racedet: " ^ msg) in
         let outcome =
           if Filename.check_suffix file ".ftb" then
-            Ft_snapshot.Runner.analyze_file ~engine:id ~racy_fastpath ~sampler ?clock_size
-              ?checkpoint ~checkpoint_every ?resume file
+            runner_error
+              (Runner.analyze_file ~engine:id ~racy_fastpath ~sampler ?clock_size ?shards
+                 ?checkpoint ~checkpoint_every ?resume file)
           else
-            match load_trace file with
-            | Error msg -> Error msg
-            | Ok trace ->
-              Ft_snapshot.Runner.analyze_trace ~engine:id ~racy_fastpath ~sampler
-                ?clock_size ?checkpoint ~checkpoint_every ?resume trace
+            Result.bind (load_trace file) (fun trace ->
+                runner_error
+                  (Runner.analyze_trace ~engine:id ~racy_fastpath ~sampler ?clock_size
+                     ?shards ?checkpoint ~checkpoint_every ?resume trace))
         in
         match outcome with
         | Error msg ->
-          prerr_endline ("racedet: " ^ msg);
+          prerr_endline msg;
           1
         | Ok o ->
           (* stderr, so stdout stays byte-identical to a straight-through run *)
-          (match o.Ft_snapshot.Runner.resumed_at with
+          (match o.Runner.resumed_at with
           | Some k -> Printf.eprintf "resumed at event : %d\n%!" k
           | None -> ());
-          finish ~events:o.Ft_snapshot.Runner.result.Detector.metrics.Metrics.events
-            ~result:o.Ft_snapshot.Runner.result
+          finish ~events:o.Runner.result.Detector.metrics.Metrics.events
+            ~result:o.Runner.result
       end
       else begin
-        match load_trace file with
-        | Error msg ->
+        match (load_trace file, clock_size) with
+        | Error msg, _ ->
           prerr_endline msg;
           1
-        | Ok trace ->
+        | Ok trace, Some c when c < trace.Trace.nthreads ->
+          prerr_endline "racedet: clock size below thread count";
+          1
+        | Ok trace, _ ->
           let result = Engine.run id ~racy_fastpath ~sampler ?clock_size trace in
           finish ~events:(Trace.length trace) ~result
       end
@@ -462,8 +373,8 @@ let serve_cmd =
   in
   let checkpoint =
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"DIR"
-           ~doc:"Persist per-shard .ftc checkpoints into DIR after every ingested \
-                 batch and on shutdown.")
+           ~doc:"Persist the detector, all shards in one .ftc file, into DIR after \
+                 every ingested batch and on shutdown.")
   in
   let resume =
     Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"DIR"

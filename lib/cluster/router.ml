@@ -648,7 +648,7 @@ let rec pump ?(drain = false) st w =
    budget counts respawns since the worker's durable SEQ last advanced: a
    worker that keeps failing at one point fails the router fast, one that
    heals past each fault (every fault ends the process, as serve does not
-   supervise its shards) runs on. *)
+   recover its shards in process) runs on. *)
 and recover_worker ?(drain = false) st w =
   close_worker_fd st w;
   reap_worker w;
@@ -682,7 +682,7 @@ and recover_worker ?(drain = false) st w =
   pump ~drain st w
 
 (* Graceful migration: drain, SHUTDOWN (the worker writes its final
-   checkpoint set), then hand the [.ftc]s to a fresh process and resume it
+   checkpoint set), then hand its [.ftc] to a fresh process and resume it
    at the same stream position.  Without checkpointing this degrades to a
    full-log replay — slower, still exact. *)
 let migrate_worker st w =
@@ -833,6 +833,7 @@ let write_state_checkpoint st =
           nlocks;
           nlocs;
           clock_size = st.clock_size;
+          shards = Array.length st.workers;
           next_index = st.expected;
           byte_offset = Wal.offset wal;
         }

@@ -30,8 +30,8 @@ type kind =
   | Delay  (** sleep a few hundred microseconds — scheduling jitter *)
   | Crash_domain
       (** the whole worker domain dies abruptly, mid-message, without
-          draining its ring — the hardest failure the shard supervisor
-          handles *)
+          draining its ring — the hardest shard failure to notice: the
+          router sees a ring that stops draining *)
 
 val kind_to_string : kind -> string
 val kind_of_string : string -> kind option

@@ -149,6 +149,7 @@ type config = {
 
 let default_max_parked = 1024
 let default_checkpoint_every = 1
+let checkpoint_name = "serve.ftc"
 let default_deadline_s = 30.0
 
 (* --- the report, shared with [racedet analyze] -------------------------- *)
@@ -346,8 +347,7 @@ type state = {
   mutable failed : string option;  (* fail-fast diagnostic: exit non-zero *)
 }
 
-let shard_file dir k = Filename.concat dir (Printf.sprintf "shard-%d.ftc" k)
-let router_file dir = Filename.concat dir "router.ftc"
+let checkpoint_file dir = Filename.concat dir checkpoint_name
 
 (* Never after a shard failure: the detector may hold a half-applied batch,
    and the set on disk from the last good batch is what a successor resumes. *)
@@ -362,27 +362,19 @@ let write_checkpoint st =
         nlocks;
         nlocs;
         clock_size = st.clock_size;
+        shards = st.cfg.shards;
         next_index = st.expected;
         byte_offset = -1;
       }
     in
-    (* A faulted write leaves a mixed checkpoint set on disk, but each file
-       is individually atomic (write-fsync-rename) and [try_resume] rejects
-       any metadata disagreement between them, degrading to a fresh start —
-       so an abandoned set can never produce a wrong resume, only a slower
-       one.  Log it, count it, keep serving. *)
+    (* The save is atomic (write-fsync-rename): a faulted write leaves the
+       previous set in place, so it costs a longer resend after a crash,
+       never a wrong resume.  Log it, count it, keep serving. *)
     let t0 = Clock.now_ns () in
-    let save path snap =
-      Checkpoint.save path { Checkpoint.meta; detector = snap };
-      (Unix.stat path).Unix.st_size
-    in
+    let path = checkpoint_file dir in
     try
-      let shard_bytes =
-        Array.mapi (fun k snap -> save (shard_file dir k) snap) (Sharded.shard_snapshots det)
-      in
-      let bytes =
-        Array.fold_left ( + ) (save (router_file dir) (Sharded.router_snapshot det)) shard_bytes
-      in
+      Checkpoint.save path { Checkpoint.meta; detector = Sharded.snapshot det };
+      let bytes = (Unix.stat path).Unix.st_size in
       Histogram.observe st.tel.checkpoint_ns
         (Int64.to_int (Int64.sub (Clock.now_ns ()) t0));
       Registry.add st.tel.checkpoint_bytes bytes;
@@ -410,34 +402,27 @@ let maybe_checkpoint st =
   end
 
 (* Resume from a checkpoint directory.  Any inconsistency (missing file,
-   checksum failure, metadata drift between the per-shard files) degrades to
-   a logged fresh start — clients resend idempotently, so the result is
-   still exact. *)
+   checksum failure, another engine, sampler or shard count) degrades to a
+   logged fresh start — clients resend idempotently, so the result is still
+   exact. *)
 let try_resume (cfg : config) =
   match cfg.resume_dir with
   | None -> None
   | Some dir ->
     let ( let* ) = Result.bind in
     let outcome =
-      let* router_cp = Checkpoint.load (router_file dir) in
-      let meta = router_cp.Checkpoint.meta in
+      let* cp = Checkpoint.load (checkpoint_file dir) in
+      let meta = cp.Checkpoint.meta in
       let* () =
-        if meta.Checkpoint.engine = cfg.engine then Ok ()
-        else Error "checkpoint engine differs from --engine"
-      in
-      let* () =
-        if meta.Checkpoint.sampler = Sampler.name cfg.sampler then Ok ()
-        else Error "checkpoint sampler differs from the configured sampler"
-      in
-      let* shard_cps =
-        let rec load k acc =
-          if k = cfg.shards then Ok (List.rev acc)
-          else
-            let* cp = Checkpoint.load (shard_file dir k) in
-            if cp.Checkpoint.meta = meta then load (k + 1) (cp :: acc)
-            else Error (Printf.sprintf "shard-%d.ftc metadata disagrees with router.ftc" k)
-        in
-        load 0 []
+        if meta.Checkpoint.engine <> cfg.engine then
+          Error "checkpoint engine differs from --engine"
+        else if meta.Checkpoint.sampler <> Sampler.name cfg.sampler then
+          Error "checkpoint sampler differs from the configured sampler"
+        else if meta.Checkpoint.shards <> cfg.shards then
+          Error
+            (Printf.sprintf "checkpoint was taken with %d shards, not %d"
+               meta.Checkpoint.shards cfg.shards)
+        else Ok ()
       in
       let config =
         {
@@ -449,9 +434,7 @@ let try_resume (cfg : config) =
         }
       in
       match
-        Sharded.restore ~engine:cfg.engine ~shards:cfg.shards config
-          ~router:router_cp.Checkpoint.detector
-          (Array.of_list (List.map (fun cp -> cp.Checkpoint.detector) shard_cps))
+        Sharded.restore ~engine:cfg.engine ~shards:cfg.shards config cp.Checkpoint.detector
       with
       | det -> Ok (det, meta)
       | exception Snap.Corrupt msg -> Error msg
@@ -521,14 +504,14 @@ let rec drain_parked st det =
 
 let reply = Evloop.reply
 
-(* The shards run unsupervised, so any failure under a command — an engine
-   exception on the in-line K = 1 path (an injected [Fault.Injected]
-   included), or a [Failure] surfacing from a dead shard domain — is
-   unrecoverable within this process: the detector may hold a half-applied
-   batch.  Reply with the diagnostic and fail fast.  Recovery is the
-   process's: [--resume] from the last good checkpoint set (or a router
-   respawn at SEQ), and clients resend idempotently.  Once failed, every
-   later command is refused, so no batch is acked after the failure. *)
+(* Any shard failure under a command — an engine exception on the in-line
+   K = 1 path (an injected [Fault.Injected] included), or a [Failure]
+   surfacing from a dead shard domain — is unrecoverable within this
+   process: the detector may hold a half-applied batch.  Reply with the
+   diagnostic and fail fast.  Recovery is the process's: [--resume] from
+   the last good checkpoint set (or a router respawn at SEQ), and clients
+   resend idempotently.  Once failed, every later command is refused, so
+   no batch is acked after the failure. *)
 let failure_text = function
   | Failure msg -> msg
   | exn -> Printexc.to_string exn

@@ -45,20 +45,21 @@
     so [REPORT] output stays byte-identical to [racedet analyze].
 
     With a checkpoint directory the server persists, after every ingested
-    batch {e before acknowledging it} and on shutdown, one [.ftc] per shard
-    ([shard-<k>.ftc]) plus [router.ftc] (pending bits, router sampler
-    state, sync-only baseline) — the {!Ft_snapshot.Checkpoint} container,
-    so each file is individually checksummed and written atomically.
-    Checkpoint-before-OK means an acknowledged batch is durable, which is
-    the invariant the cluster router's recovery protocol builds on.  A
-    restarted server pointed at the directory resumes exactly; if the set
-    is missing or inconsistent it logs the reason and starts fresh, which
-    is still correct because clients resend idempotently.
+    batch {e before acknowledging it} and on shutdown, one checkpoint set:
+    the single file {!checkpoint_name}, a {!Ft_snapshot.Checkpoint}
+    container (checksummed, written atomically) around the detector's
+    {!Sharded.snapshot} — router state, then one engine snapshot per
+    shard.  Checkpoint-before-OK means an acknowledged batch is durable,
+    which is the invariant the cluster router's recovery protocol builds
+    on.  A restarted server pointed at the directory resumes exactly; if
+    the file is missing, corrupt, or was written by another engine, sampler
+    or shard count, it logs the reason and starts fresh, which is still
+    correct because clients resend idempotently.
 
     {2 Robustness}
 
-    The daemon's sharded detector runs {e unsupervised}; with one shard it
-    runs in the ingest domain itself (the {!Sharded} in-line path).  A
+    The daemon's sharded detector does not recover in process; with one
+    shard it runs in the ingest domain itself (the {!Sharded} in-line path).  A
     shard failure of any kind — an engine exception, an injected fault, a
     dead shard domain — fails the daemon fast: [ERR] to the client whose
     command saw it, [ERR] to every later command, no further checkpoint,
@@ -149,6 +150,10 @@ type config = {
 
 val default_max_parked : int
 val default_checkpoint_every : int
+
+val checkpoint_name : string
+(** ["serve.ftc"]: the one file of a checkpoint set, inside
+    [checkpoint_dir]. *)
 
 val default_deadline_s : float
 (** Overall per-operation client deadline (30 s) used when [?deadline_s]

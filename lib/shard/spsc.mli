@@ -26,7 +26,7 @@ val push : 'a t -> 'a -> unit
 
 val try_push : 'a t -> 'a -> bool
 (** Producer only.  Push without blocking; [false] when the ring is full.
-    The supervisor's push loop uses this so a producer facing a {e dead}
+    The sharded router's push loop uses this so a producer facing a {e dead}
     consumer (a crashed shard domain no longer draining) can notice the
     failure instead of spinning in {!push} forever. *)
 

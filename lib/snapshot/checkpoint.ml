@@ -8,6 +8,7 @@ type meta = {
   nlocks : int;
   nlocs : int;
   clock_size : int;
+  shards : int;
   next_index : int;
   byte_offset : int;
 }
@@ -15,7 +16,7 @@ type meta = {
 type t = { meta : meta; detector : Snap.t }
 
 let magic = "FTCK"
-let version = 2
+let version = 3
 
 (* magic + version byte + 8-byte little-endian FNV-1a 64 checksum *)
 let header_len = String.length magic + 1 + 8
@@ -38,6 +39,7 @@ let to_string t =
   Snap.Enc.int enc t.meta.nlocks;
   Snap.Enc.int enc t.meta.nlocs;
   Snap.Enc.int enc t.meta.clock_size;
+  Snap.Enc.int enc t.meta.shards;
   Snap.Enc.int enc t.meta.next_index;
   Snap.Enc.int enc t.meta.byte_offset;
   Snap.Enc.string enc t.detector;
@@ -75,6 +77,7 @@ let of_string s =
             let nlocks = Snap.Dec.int dec in
             let nlocs = Snap.Dec.int dec in
             let clock_size = Snap.Dec.int dec in
+            let shards = Snap.Dec.int dec in
             let next_index = Snap.Dec.int dec in
             let byte_offset = Snap.Dec.int dec in
             let detector = Snap.Dec.string dec in
@@ -83,6 +86,7 @@ let of_string s =
               Error "checkpoint universe is malformed"
             else if clock_size < nthreads then
               Error "checkpoint clock size below thread count"
+            else if shards < 0 then Error "checkpoint shard count is negative"
             else if next_index < 0 then Error "checkpoint event index is negative"
             else if byte_offset < -1 then Error "checkpoint byte offset is malformed"
             else
@@ -96,6 +100,7 @@ let of_string s =
                       nlocks;
                       nlocs;
                       clock_size;
+                      shards;
                       next_index;
                       byte_offset;
                     };

@@ -1,30 +1,34 @@
 (** Checkpoint files (.ftc) for resumable analyses.
 
-    A checkpoint packages one engine snapshot ({!Ft_core.Detector.S.snapshot})
-    together with the metadata needed to resume: which engine and sampler
-    strategy produced it, the universe it was sized for, how many trace
-    events it has consumed, and — for .ftb streaming analyses — the byte
-    offset of the next undecoded event so a resumed run can seek instead of
-    re-reading the prefix.
+    A checkpoint packages one detector snapshot — a single engine's
+    ({!Ft_core.Detector.S.snapshot}) or a whole sharded detector's
+    ([Ft_shard.Sharded.snapshot]) — together with the metadata needed to
+    resume: which engine and sampler strategy produced it, the universe it
+    was sized for, how many shards held it, how many trace events it has
+    consumed, and — for .ftb streaming analyses — the byte offset of the
+    next undecoded event so a resumed run can seek instead of re-reading
+    the prefix.
 
     Container layout:
     {v
     "FTCK"  version-byte  checksum(8 bytes, LE FNV-1a 64 of payload)  payload
     v}
     The payload is a {!Ft_core.Snap} encoding of the metadata followed by
-    the engine snapshot.  Decoding never raises: bit flips are caught by the
+    the detector snapshot.  Decoding never raises: bit flips are caught by the
     checksum, truncation by the checksum or the length-checked decoders, and
     format drift by the version byte — each yields [Error] with a
     description.
 
-    Version 2 (the current {!version}) encodes every engine's per-location
-    state as a {!Ft_core.Snap.Enc.keyed} section, so a checkpoint's size
-    follows the locations the detector has touched, not the universe it was
-    sized for.  Version-1 files are rejected as
-    ["unsupported checkpoint version 1"]; every caller already has a
+    Since version 2 every engine's per-location state is a
+    {!Ft_core.Snap.Enc.keyed} section, so a checkpoint's size follows the
+    locations the detector has touched, not the universe it was sized for.
+    Version 3 (the current {!version}) adds the shard count to the
+    metadata, so a resume can refuse a snapshot of another shape before
+    decoding it.  Files of any other version are rejected as
+    ["unsupported checkpoint version N"]; every caller already has a
     fallback for a rejected file (serve starts fresh, analyze replays from
-    the start, the cluster router replays its WAL), so no version-1 decoder
-    is kept. *)
+    the start, the cluster router replays its WAL), so no older decoder is
+    kept. *)
 
 type meta = {
   engine : Ft_core.Engine.id;
@@ -33,6 +37,9 @@ type meta = {
   nlocks : int;
   nlocs : int;
   clock_size : int;
+  shards : int;
+      (** 0: a single engine's snapshot; K ≥ 1: a sharded detector's, with
+          K shards (the cluster router's state file: its worker count) *)
   next_index : int;  (** events already consumed; the resume point *)
   byte_offset : int;
       (** .ftb offset of the next undecoded event, or [-1] when the source

@@ -31,7 +31,7 @@ module Snap = Ft_core.Snap
 module Ol = Ft_core.Ordered_list
 module Online = Ft_core.Online
 module Checkpoint = Ft_snapshot.Checkpoint
-module Runner = Ft_snapshot.Runner
+module Runner = Ft_shard.Runner
 module Serve = Ft_shard.Serve
 
 let engines = Engine.all @ [ Engine.Eraser ]
@@ -111,6 +111,7 @@ let run_cut id config trace ~cut =
           nlocks = config.Detector.nlocks;
           nlocs = config.Detector.nlocs;
           clock_size = config.Detector.clock_size;
+          shards = 0;
           next_index = cut;
           byte_offset = -1;
         };
@@ -284,6 +285,7 @@ let sample_checkpoint_string =
              nlocks = config.Detector.nlocks;
              nlocs = config.Detector.nlocs;
              clock_size = config.Detector.clock_size;
+             shards = 0;
              next_index = Trace.length trace / 2;
              byte_offset = -1;
            };
@@ -701,6 +703,78 @@ let test_runner_trace_resume () =
   Alcotest.(check bool) "resumed" true (resumed.Runner.resumed_at <> None);
   check_same_outcome "trace resume" straight resumed
 
+(* The sharded shape of the same contract: K = 1 (in-line), 2 and 4 shards
+   checkpoint all their state into one file, and a run resumed from it
+   equals the straight unsharded run, for every engine. *)
+let test_runner_sharded_resume () =
+  with_temp_ftb @@ fun path _trace ->
+  let cp = Filename.temp_file "ftc_test" ".ftc" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists cp then Sys.remove cp) @@ fun () ->
+  let sampler = Sampler.bernoulli ~rate:0.4 ~seed:9 in
+  List.iter
+    (fun engine ->
+      let straight = get_ok (Runner.analyze_file ~engine ~sampler path) in
+      List.iter
+        (fun shards ->
+          let name = Printf.sprintf "%s K=%d" (Engine.name engine) shards in
+          let checkpointed =
+            get_ok
+              (Runner.analyze_file ~engine ~sampler ~shards ~checkpoint:cp
+                 ~checkpoint_every:1_000 path)
+          in
+          Alcotest.(check bool) (name ^ ": checkpoints written") true
+            (checkpointed.Runner.checkpoints_written > 0);
+          check_same_outcome (name ^ " straight") straight checkpointed;
+          let resumed = get_ok (Runner.analyze_file ~engine ~sampler ~shards ~resume:cp path) in
+          (match resumed.Runner.resumed_at with
+          | Some k -> Alcotest.(check bool) (name ^ ": resumed midway") true (k > 0)
+          | None ->
+            Alcotest.failf "%s: did not resume (%s)" name
+              (Option.value resumed.Runner.resume_error ~default:"?"));
+          check_same_outcome (name ^ " resumed") straight resumed)
+        [ 1; 2; 4 ])
+    (Engine.all @ [ Engine.Eraser ])
+
+(* A checkpoint records its shape, and only the same shape resumes from it:
+   a single-stream file under shards, a sharded one without, K shards
+   under K' — each is refused with a reason naming both shapes, and the
+   full replay gives the straight run's result. *)
+let test_runner_shape_mismatch_falls_back () =
+  with_temp_ftb @@ fun path trace ->
+  let sampler = Sampler.adaptive ~base_rate:3 in
+  let engine = Engine.So in
+  let straight = get_ok (Runner.analyze_file ~engine ~sampler path) in
+  let cp = Filename.temp_file "ftc_test" ".ftc" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists cp then Sys.remove cp) @@ fun () ->
+  let shape = function None -> "a single stream" | Some k -> Printf.sprintf "%d shards" k in
+  List.iter
+    (fun (written, resumed) ->
+      let name = Printf.sprintf "%s → %s" (shape written) (shape resumed) in
+      ignore
+        (get_ok
+           (Runner.analyze_file ~engine ~sampler ?shards:written ~checkpoint:cp
+              ~checkpoint_every:1_000 path));
+      let check o =
+        Alcotest.(check (option string)) (name ^ ": refused")
+          (Some
+             (Printf.sprintf "checkpoint was taken with %s, not %s" (shape written)
+                (shape resumed)))
+          o.Runner.resume_error;
+        Alcotest.(check (option int)) (name ^ ": replayed") None o.Runner.resumed_at;
+        check_same_outcome name straight o
+      in
+      check (get_ok (Runner.analyze_file ~engine ~sampler ?shards:resumed ~resume:cp path));
+      (* the in-memory path validates the same way *)
+      check (get_ok (Runner.analyze_trace ~engine ~sampler ?shards:resumed ~resume:cp trace)))
+    [
+      (None, Some 1);
+      (None, Some 2);
+      (Some 1, None);
+      (Some 4, None);
+      (Some 2, Some 4);
+      (Some 4, Some 1);
+    ]
+
 let () =
   Alcotest.run "checkpoint"
     [
@@ -748,5 +822,9 @@ let () =
           Alcotest.test_case "bad checkpoints fall back, never lie" `Quick
             test_runner_fallback_on_bad_checkpoint;
           Alcotest.test_case "in-memory resume" `Quick test_runner_trace_resume;
+          Alcotest.test_case "sharded resume ≡ straight run (K = 1, 2, 4)" `Quick
+            test_runner_sharded_resume;
+          Alcotest.test_case "shard-count mismatch falls back" `Quick
+            test_runner_shape_mismatch_falls_back;
         ] );
     ]

@@ -5,20 +5,24 @@
      schedule determinism, pass-through when disarmed or p=0, single-shot
      [arm_exact], io_len/torn_len contracts;
    - the REPORT byte-identity oracle: chaos schedules over shard.step /
-     spsc.push across engines × samplers × K — every supervised run, however
-     many workers crash and heal, must match the fault-free unsharded run
-     exactly (races, merged metrics, rendered report);
+     spsc.push across engines × samplers × K, run through [Runner] with a
+     checkpoint — a shard fault fails the run fast, and rounds resumed from
+     the last checkpoint under fresh seeds must end matching the
+     fault-free unsharded run exactly (races, merged metrics, rendered
+     report);
    - a QCheck property: killing one random shard at one random message cut,
-     with a random kind, for a random engine/sampler/K, changes nothing;
-   - bounded restarts: a deterministic always-failing fault exhausts the
-     budget and fails fast with [Sharded.Shard_failed];
-   - the unsupervised in-line K=1 path: an injected fault raises at the
-     faulted event and poisons the detector;
+     with a random kind, for a random engine/sampler/K, then resuming,
+     changes nothing;
+   - fail-fast: a deterministic always-failing shard ends the run with
+     [Error] and the shard's diagnostic, every shard domain joined;
+   - the in-line K=1 path: an injected fault raises at the faulted event
+     and poisons the detector;
    - checkpoint durability: a torn write leaves the previous .ftc intact and
      loadable;
-   - the serve daemon, which does not supervise its shards: connect backoff
-     against a slow-starting server, SIGTERM graceful shutdown (final
-     checkpoint + metrics dump) followed by an exact resume, chaos-armed
+   - the serve daemon, which does not recover its shards in process:
+     connect backoff against a slow-starting server, SIGTERM graceful
+     shutdown (final checkpoint + metrics dump) followed by an exact
+     resume, chaos-armed
      daemons that fail fast and are resumed round after round until the
      REPORT matches analyze, and one exact shard fault at a random cut
      (K=1 in-line and K=3): ERR, non-zero exit, exact resume. *)
@@ -32,6 +36,7 @@ module Sampler = Ft_core.Sampler
 module Metrics = Ft_core.Metrics
 module Checkpoint = Ft_snapshot.Checkpoint
 module Sharded = Ft_shard.Sharded
+module Runner = Ft_shard.Runner
 module Serve = Ft_shard.Serve
 module Fault = Ft_fault.Fault
 
@@ -155,20 +160,60 @@ let run_unsharded id config trace =
   Trace.iteri (fun i e -> D.handle d i e) trace;
   D.result d
 
-let run_supervised ?(max_restarts = 16) ?snapshot_every id ~shards config trace =
-  let sh = Sharded.create ~engine:id ~shards ~supervise:true ~max_restarts ?snapshot_every config in
-  Fun.protect ~finally:(fun () -> Sharded.stop sh) @@ fun () ->
-  Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
-  (Sharded.result sh, Sharded.restarts_total sh)
-
 let same_result ~events a b =
   a.Detector.races = b.Detector.races
   && Metrics.to_array a.Detector.metrics = Metrics.to_array b.Detector.metrics
   && String.equal (Serve.report_text ~events a) (Serve.report_text ~events b)
 
-(* Fault schedules × engines × samplers × K: every chaos run must end with
-   state byte-identical to the fault-free run.  Small snapshot_every so
-   recoveries exercise the restore-then-replay path, not just full replays. *)
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+let with_temp_checkpoint f =
+  let cp = Filename.temp_file "ftfault" ".ftc" in
+  Sys.remove cp;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ cp; cp ^ ".tmp" ])
+    (fun () -> f cp)
+
+(* Fail fast, then resume: run [trace] through [Runner] as a K-shard
+   detector checkpointing every [every] events.  Round [r] runs under
+   [arm r] and, from the second round on, resumes from the last checkpoint;
+   a shard fault ends a round with [Error], and the first round to complete
+   gives the result.  Returns it with the number of failed rounds and of
+   faults fired over all rounds. *)
+let run_with_resume ?(max_rounds = 60) ~every ~arm id ~shards (config : Detector.config)
+    trace =
+  with_temp_checkpoint @@ fun cp ->
+  let rec round r ~failed ~fired =
+    if r >= max_rounds then
+      Alcotest.failf "%s K=%d: no round completed in %d" (Engine.name id) shards max_rounds;
+    arm r;
+    (* counters reset on [arm], not on [disarm]: count this round's fires *)
+    let fired0 = Fault.fired () in
+    let outcome =
+      Runner.analyze_trace ~engine:id ~sampler:config.Detector.sampler ~shards
+        ~checkpoint:cp ~checkpoint_every:every
+        ?resume:(if r = 0 then None else Some cp)
+        trace
+    in
+    let fired = fired + Fault.fired () - fired0 in
+    Fault.disarm ();
+    match outcome with
+    | Ok o -> (o.Runner.result, failed, fired)
+    | Error msg ->
+      if not (contains ~sub:"shard" msg) then
+        Alcotest.failf "round %d failed without a shard diagnostic: %s" r msg;
+      round (r + 1) ~failed:(failed + 1) ~fired
+  in
+  round 0 ~failed:0 ~fired:0
+
+(* Fault schedules × engines × samplers × K: every chaos run, resumed round
+   after round, must end with state byte-identical to the fault-free run.
+   Checkpoints every 100 of the 600 events, so resumes restore a mid-trace
+   snapshot and replay only a suffix. *)
 let test_chaos_grid () =
   with_disarm @@ fun () ->
   let trace = Lazy.force chaos_trace in
@@ -181,7 +226,7 @@ let test_chaos_grid () =
       ("adaptive", Sampler.adaptive ~base_rate:4);
     ]
   in
-  let total_fired = ref 0 and total_restarts = ref 0 in
+  let total_fired = ref 0 and total_failed = ref 0 in
   let cell = ref 0 in
   List.iter
     (fun id ->
@@ -193,32 +238,40 @@ let test_chaos_grid () =
           List.iter
             (fun k ->
               incr cell;
-              (* a fresh schedule per cell sweeps seeds too *)
-              Fault.arm
-                {
-                  (Fault.default ~seed:(1000 + !cell)) with
-                  Fault.prob = 0.01;
-                  points = Some [ "shard.step"; "spsc.push" ];
-                  kinds = Some [ Fault.Exn; Fault.Crash_domain; Fault.Delay ];
-                  max_fires = Some 8;
-                  delay_s = 0.0002;
-                };
-              let got, restarts = run_supervised id ~shards:k ~snapshot_every:128 config trace in
-              total_fired := !total_fired + Fault.fired ();
-              total_restarts := !total_restarts + restarts;
-              Fault.disarm ();
+              (* a fresh schedule per cell and per round sweeps seeds too *)
+              let arm r =
+                Fault.arm
+                  {
+                    (Fault.default ~seed:(1000 + (100 * !cell) + r)) with
+                    Fault.prob = 0.002;
+                    points = Some [ "shard.step"; "spsc.push" ];
+                    kinds = Some [ Fault.Exn; Fault.Crash_domain; Fault.Delay ];
+                    max_fires = Some 4;
+                    delay_s = 0.0002;
+                  }
+              in
+              let got, failed, fired =
+                run_with_resume ~every:100 ~arm id ~shards:k config trace
+              in
+              total_fired := !total_fired + fired;
+              total_failed := !total_failed + failed;
               if not (same_result ~events expected got) then
-                Alcotest.failf "chaos diverged: %s/%s K=%d seed=%d" (Engine.name id) sname
-                  k (1000 + !cell))
+                Alcotest.failf "chaos diverged: %s/%s K=%d cell=%d" (Engine.name id) sname k
+                  !cell)
             [ 1; 2; 4 ])
         samplers)
     engines;
-  Alcotest.(check bool) "the sweep injected faults" true (!total_fired > 0);
-  Alcotest.(check bool) "some faults killed workers" true (!total_restarts > 0)
+  Alcotest.(check bool)
+    (Printf.sprintf "the sweep injected faults (%d)" !total_fired)
+    true (!total_fired > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "some faults failed runs (%d rounds)" !total_failed)
+    true (!total_failed > 0)
 
 (* Satellite property: killing one random shard at one random message cut,
-   for a random engine × sampler × K, yields races and merged metrics
-   identical to the unfaulted run. *)
+   for a random engine × sampler × K, fails that run fast, and resuming
+   from its last checkpoint yields races and merged metrics identical to
+   the unfaulted run. *)
 let kill_samplers =
   [
     Sampler.all;
@@ -265,46 +318,49 @@ let kill_one_shard_test =
       let config = config_for trace (List.nth kill_samplers c.sampler_ix) in
       Fault.disarm ();
       let expected = run_unsharded id config trace in
-      Fault.arm_exact ~lane:c.lane ~point:"shard.step" ~hit:c.cut
-        (if c.crash then Fault.Crash_domain else Fault.Exn);
-      let got, _ = run_supervised id ~shards:c.k ~snapshot_every:64 config trace in
-      Fault.disarm ();
-      same_result ~events:(Trace.length trace) expected got)
+      (* the armed fault fires in round 0 or never; round 1 resumes clean *)
+      let arm r =
+        if r = 0 then
+          Fault.arm_exact ~lane:c.lane ~point:"shard.step" ~hit:c.cut
+            (if c.crash then Fault.Crash_domain else Fault.Exn)
+      in
+      let got, failed, fired = run_with_resume ~every:50 ~arm id ~shards:c.k config trace in
+      failed = fired && same_result ~events:(Trace.length trace) expected got)
 
-let test_restart_budget_fails_fast () =
+(* Fail-fast: a shard that fails on every message ends the run with [Error]
+   and the shard's diagnostic, after every shard domain is joined — and
+   never checkpoints the failed state.  Fifty runs of four shards: a run
+   that left even its three other shards running would exhaust the
+   runtime's 128-domain limit, and a later spawn would fail. *)
+let test_failing_shard_fails_fast () =
   with_disarm @@ fun () ->
   let trace = Lazy.force chaos_trace in
-  let config = config_for trace Sampler.all in
-  Fault.arm
-    {
-      (Fault.default ~seed:5) with
-      Fault.prob = 1.0;
-      points = Some [ "shard.step" ];
-      kinds = Some [ Fault.Exn ];
-    };
-  let sh = Sharded.create ~engine:Engine.So ~shards:2 ~supervise:true ~max_restarts:2 config in
-  let outcome =
-    try
-      Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
-      Sharded.flush sh;
-      None
-    with Sharded.Shard_failed msg -> Some msg
-  in
-  Fault.disarm ();
-  (try Sharded.stop sh with Sharded.Shard_failed _ -> ());
-  match outcome with
-  | None -> Alcotest.fail "an always-failing shard must exhaust its restart budget"
-  | Some msg ->
-    let contains ~sub s =
-      let n = String.length sub and m = String.length s in
-      let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
-      at 0
+  with_temp_checkpoint @@ fun cp ->
+  for _ = 1 to 50 do
+    Fault.arm
+      {
+        (Fault.default ~seed:5) with
+        Fault.prob = 1.0;
+        points = Some [ "shard.step" ];
+        kinds = Some [ Fault.Exn ];
+        log = false;
+      };
+    let outcome =
+      Runner.analyze_trace ~engine:Engine.So ~shards:4 ~checkpoint:cp ~checkpoint_every:10
+        trace
     in
-    Alcotest.(check bool)
-      "diagnostic names the budget" true
-      (contains ~sub:"restart budget" msg)
+    Fault.disarm ();
+    match outcome with
+    | Ok _ -> Alcotest.fail "an always-failing shard must fail the run"
+    | Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "diagnostic names the shard and the fault (%s)" msg)
+        true
+        (contains ~sub:"Sharded: shard" msg && contains ~sub:"Injected" msg)
+  done;
+  Alcotest.(check bool) "no checkpoint of a failed detector" false (Sys.file_exists cp)
 
-(* The in-line K = 1 path has no supervisor and no domain to crash: the
+(* The in-line K = 1 path has no domain to crash: the
    injected exception leaves [handle] at the faulted message itself, and
    the detector stays poisoned — every later call fails with the
    diagnostic instead of running on a half-applied event. *)
@@ -342,6 +398,7 @@ let sample_checkpoint payload =
         nlocks = 1;
         nlocs = 4;
         clock_size = 2;
+        shards = 0;
         next_index = 10;
         byte_offset = -1;
       };
@@ -522,7 +579,7 @@ let test_sigterm_graceful_then_resume () =
   Alcotest.(check bool) "metrics dump written on SIGTERM" true (Sys.file_exists metrics_json);
   Alcotest.(check bool)
     "final checkpoint set written on SIGTERM" true
-    (Sys.file_exists (Filename.concat ckpt "router.ftc"));
+    (Sys.file_exists (Filename.concat ckpt Serve.checkpoint_name));
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
   (* successor: resume, blindly resend everything, expect the exact report *)
   let pid =
@@ -706,7 +763,7 @@ let () =
         ] );
       (* the serve group forks daemons, and [Unix.fork] is only legal while
          this process has never spawned a domain — so it must run before the
-         oracle group, whose supervised runs spawn shard domains in-process *)
+         oracle group, whose sharded runs spawn shard domains in-process *)
       ( "serve",
         [
           Alcotest.test_case "connect backs off against a slow server" `Quick
@@ -725,8 +782,8 @@ let () =
           Alcotest.test_case "chaos grid: schedules × engines × samplers × K" `Quick
             test_chaos_grid;
           QCheck_alcotest.to_alcotest kill_one_shard_test;
-          Alcotest.test_case "restart budget fails fast" `Quick
-            test_restart_budget_fails_fast;
+          Alcotest.test_case "failing shard fails fast, domains joined" `Quick
+            test_failing_shard_fails_fast;
           Alcotest.test_case "in-line K=1 fault poisons the detector" `Quick
             test_inline_fault_poisons;
         ] );

@@ -303,85 +303,29 @@ let test_sharded_snapshot_restore () =
     (fun (id, sampler) ->
       let config = config_for trace sampler in
       let full = run_unsharded id config trace in
-      let k = 4 in
-      let sh = Sharded.create ~engine:id ~shards:k config in
-      for i = 0 to (n / 2) - 1 do
-        Sharded.handle sh i (Trace.get trace i)
-      done;
-      let shards_snap = Sharded.shard_snapshots sh in
-      let router_snap = Sharded.router_snapshot sh in
-      Sharded.stop sh;
-      let sh' = Sharded.restore ~engine:id ~shards:k config ~router:router_snap shards_snap in
-      Fun.protect ~finally:(fun () -> Sharded.stop sh') @@ fun () ->
-      Alcotest.(check int) "event count restored" (n / 2) (Sharded.events sh');
-      for i = n / 2 to n - 1 do
-        Sharded.handle sh' i (Trace.get trace i)
-      done;
-      let resumed = Sharded.result sh' in
-      if not (same_result ~events:n full resumed) then
-        Alcotest.failf "%s: sharded restore diverges" (Engine.name id))
+      (* K = 1 is the in-line path, K ≥ 2 the domain path *)
+      List.iter
+        (fun k ->
+          let sh = Sharded.create ~engine:id ~shards:k config in
+          for i = 0 to (n / 2) - 1 do
+            Sharded.handle sh i (Trace.get trace i)
+          done;
+          let snap = Sharded.snapshot sh in
+          Sharded.stop sh;
+          let sh' = Sharded.restore ~engine:id ~shards:k config snap in
+          Fun.protect ~finally:(fun () -> Sharded.stop sh') @@ fun () ->
+          Alcotest.(check int) "event count restored" (n / 2) (Sharded.events sh');
+          for i = n / 2 to n - 1 do
+            Sharded.handle sh' i (Trace.get trace i)
+          done;
+          let resumed = Sharded.result sh' in
+          if not (same_result ~events:n full resumed) then
+            Alcotest.failf "%s: sharded restore diverges at K=%d" (Engine.name id) k)
+        [ 1; 2; 4 ])
     [
       (Engine.So, Sampler.cold_region ~threshold:2);
       (Engine.Su, Sampler.adaptive ~base_rate:3);
       (Engine.St, Sampler.bernoulli ~rate:0.4 ~seed:5);
-      (Engine.Fasttrack, Sampler.all);
-    ]
-
-(* K = 1 has two paths: supervised, the engine runs on a worker domain;
-   unsupervised, it runs in the caller's domain.  A checkpoint set is the
-   same bytes either way, so a set written by one path resumes on the other. *)
-let test_k1_paths_share_checkpoints () =
-  let prng = Prng.create ~seed:9 in
-  let trace =
-    Trace_gen.random prng
-      {
-        Trace_gen.default with
-        Trace_gen.nthreads = 4;
-        nlocks = 2;
-        nlocs = 10;
-        length = 600;
-        forkjoin = true;
-      }
-  in
-  let n = Trace.length trace and cut = 257 in
-  let snapshots sh = (Sharded.shard_snapshots sh, Sharded.router_snapshot sh) in
-  let feed sh lo hi =
-    for i = lo to hi - 1 do
-      Sharded.handle sh i (Trace.get trace i)
-    done
-  in
-  List.iter
-    (fun (id, sampler) ->
-      let config = config_for trace sampler in
-      let full = run_unsharded id config trace in
-      let prefix ~supervise =
-        let sh = Sharded.create ~engine:id ~shards:1 ~supervise config in
-        Fun.protect ~finally:(fun () -> Sharded.stop sh) @@ fun () ->
-        feed sh 0 cut;
-        snapshots sh
-      in
-      let resume ~supervise (shard_snaps, router) =
-        let sh = Sharded.restore ~engine:id ~shards:1 ~supervise config ~router shard_snaps in
-        Fun.protect ~finally:(fun () -> Sharded.stop sh) @@ fun () ->
-        feed sh cut n;
-        (Sharded.result sh, snapshots sh)
-      in
-      let domain_set = prefix ~supervise:true and inline_set = prefix ~supervise:false in
-      let name = Engine.name id in
-      Alcotest.(check bool) (name ^ ": same checkpoint bytes at the cut") true
-        (domain_set = inline_set);
-      let to_inline, inline_end = resume ~supervise:false domain_set in
-      let to_domain, domain_end = resume ~supervise:true inline_set in
-      if not (same_result ~events:n full to_inline) then
-        Alcotest.failf "%s: domain set resumed in-line diverges" name;
-      if not (same_result ~events:n full to_domain) then
-        Alcotest.failf "%s: in-line set resumed on a domain diverges" name;
-      Alcotest.(check bool) (name ^ ": same final snapshot bytes") true
-        (inline_end = domain_end))
-    [
-      (Engine.So, Sampler.cold_region ~threshold:2);
-      (Engine.O1u, Sampler.bernoulli ~rate:0.3 ~seed:3);
-      (Engine.Su, Sampler.adaptive ~base_rate:3);
       (Engine.Fasttrack, Sampler.all);
     ]
 
@@ -391,14 +335,37 @@ let test_restore_rejects_wrong_k () =
   let config = config_for trace Sampler.all in
   let sh = Sharded.create ~engine:Engine.So ~shards:2 config in
   Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
-  let snaps = Sharded.shard_snapshots sh in
-  let router = Sharded.router_snapshot sh in
+  let snap = Sharded.snapshot sh in
   Sharded.stop sh;
-  (match Sharded.restore ~engine:Engine.So ~shards:4 config ~router snaps with
-  | exception Ft_core.Snap.Corrupt _ -> ()
-  | sh' ->
-    Sharded.stop sh';
-    Alcotest.fail "restore accepted a mismatched shard count")
+  List.iter
+    (fun k ->
+      match Sharded.restore ~engine:Engine.So ~shards:k config snap with
+      | exception Ft_core.Snap.Corrupt _ -> ()
+      | sh' ->
+        Sharded.stop sh';
+        Alcotest.failf "restore accepted a K=2 payload as K=%d" k)
+    [ 1; 4 ]
+
+(* The one payload is router state then K shard snapshots: a cut anywhere —
+   inside the router state, between or inside shard snapshots — is refused
+   before any domain is spawned, as is a trailing byte. *)
+let test_restore_rejects_truncated () =
+  let prng = Prng.create ~seed:8 in
+  let trace = Trace_gen.random prng { Trace_gen.default with Trace_gen.length = 100 } in
+  let config = config_for trace Sampler.all in
+  let sh = Sharded.create ~engine:Engine.So ~shards:2 config in
+  Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
+  let snap = Sharded.snapshot sh in
+  Sharded.stop sh;
+  let n = String.length snap in
+  List.iter
+    (fun bad ->
+      match Sharded.restore ~engine:Engine.So ~shards:2 config bad with
+      | exception Ft_core.Snap.Corrupt _ -> ()
+      | sh' ->
+        Sharded.stop sh';
+        Alcotest.failf "restore accepted a %d-byte payload (whole: %d)" (String.length bad) n)
+    ((snap ^ "\000") :: List.init n (fun len -> String.sub snap 0 len))
 
 (* --- metrics merge contract -------------------------------------------------- *)
 
@@ -493,8 +460,8 @@ let () =
           Alcotest.test_case "sharded restore ≡ uninterrupted" `Quick
             test_sharded_snapshot_restore;
           Alcotest.test_case "wrong K rejected" `Quick test_restore_rejects_wrong_k;
-          Alcotest.test_case "K=1 checkpoints cross the domain and in-line paths" `Quick
-            test_k1_paths_share_checkpoints;
+          Alcotest.test_case "truncated payload rejected" `Quick
+            test_restore_rejects_truncated;
         ] );
       ( "metrics merge",
         [
